@@ -13,7 +13,9 @@ import numpy as np
 
 from . import baselines
 from .channels import rollout
-from .dine import DineModel, dv_value
+# dv_value is no longer called here; it stays importable as capest.dv_value
+# because tracers that wrap it look it up at every name it was imported by
+from .dine import DineModel, dv_value, map_chunks  # noqa: F401
 from .nn import Adam, GradientError, Rng
 from .ndt import NdtModel
 
@@ -101,42 +103,37 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048, batch=32,
                      fb_norm_decay=0.0):
     """Long evaluation with frozen models: fresh rollouts totaling ``samples``.
 
+    Chunk k is ``batch`` sequences generated from its own streams
+    ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and ``.../channel``; power
+    normalization applies per chunk. The rollouts and the evaluation of
+    ``dine.evaluate`` (reference stream ``eval/{k}/reference``) run on
+    ``map_chunks``, so the result does not depend on the worker count.
     Returns (estimate, d_y, d_yx, realized_power, actual sample count).
     """
-    rng = Rng(seed)
-    noise_gen = rng.stream("eval-ndt-noise")
-    chan_gen = rng.stream("eval-channel")
-    ref_gen = rng.stream("eval-reference")
     n_seq = -(-samples // seq_len)
-    xs, ys = [], []
+    jobs = [(ndt, spec, min(batch, n_seq - s), seq_len, seed, k, fb_norm_decay)
+            for k, s in enumerate(range(0, n_seq, batch))]
+    # filled chunk by chunk as results arrive: the parent never holds the
+    # rollouts twice
+    x = np.empty((n_seq, seq_len, ndt.x_dim))
+    y = np.empty_like(x)
     sumsq = 0.0
-    for start in range(0, n_seq, batch):
-        b = min(batch, n_seq - start)
-        ro = rollout(ndt, spec, b, seq_len, noise_gen, chan_gen,
-                     need_cache=False, fb_norm_decay=fb_norm_decay)
-        xs.append(ro.x)
-        ys.append(ro.y)
-        sumsq += float(np.sum(ro.x * ro.x))
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys, axis=0)
-    count = int(np.prod(y.shape[:2]))
-    realized = sumsq / count
-    box = dine.fit_box(y)
-    parts = {k: [] for k in ("ty", "try", "tyx", "tryx")}
-    for s in range(0, x.shape[0], batch):
-        sl = slice(s, s + batch)
-        y_ref = box.sample(ref_gen, y[sl].shape[0], seq_len)
-        ty, tr, _ = dine.pot_y.forward(y[sl], y_ref, need_cache=False)
-        jt = dine.joint(y[sl], x[sl])
-        jr = dine.joint(y_ref, x[sl])
-        tyx, trx, _ = dine.pot_yx.forward(jt, jr, need_cache=False)
-        parts["ty"].append(ty)
-        parts["try"].append(tr)
-        parts["tyx"].append(tyx)
-        parts["tryx"].append(trx)
-    vy, _, _ = dv_value(np.concatenate(parts["ty"]), np.concatenate(parts["try"]))
-    vyx, _, _ = dv_value(np.concatenate(parts["tyx"]), np.concatenate(parts["tryx"]))
-    return vyx - vy, vy, vyx, realized, count
+    for k, (xk, yk) in enumerate(map_chunks(_rollout_chunk, jobs)):
+        x[k * batch:(k + 1) * batch] = xk
+        y[k * batch:(k + 1) * batch] = yk
+        sumsq += float(np.sum(xk * xk))
+    count = n_seq * seq_len
+    est, vy, vyx = dine.evaluate(x, y, seed, batch=batch)
+    return est, vy, vyx, sumsq / count, count
+
+
+def _rollout_chunk(ndt, spec, batch, seq_len, seed, k, fb_norm_decay):
+    """Channel inputs and outputs of chunk ``k`` of an evaluation."""
+    rng = Rng(seed)
+    ro = rollout(ndt, spec, batch, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
+                 rng.stream(f"eval/{k}/channel"), need_cache=False,
+                 fb_norm_decay=fb_norm_decay)
+    return ro.x, ro.y
 
 
 def estimate_capacity(spec, config):
@@ -183,15 +180,12 @@ def estimate_capacity(spec, config):
             ro.backward(dx, dy)
             adam_ndt.step()
             curve.append((it, vy, vyx, obj, ro.realized_power))
-    except GradientError as err:
-        failed = True
-        reason = str(err)
-
-    if not failed:
         est, vy, vyx, realized, count = monte_carlo_eval(
             dine, ndt, spec, config.eval_samples, config.seed + 1,
             config.eval_seq_len, config.eval_batch, decay)
-    else:
+    except GradientError as err:
+        failed = True
+        reason = str(err)
         est = vy = vyx = realized = 0.0
         count = 0
 

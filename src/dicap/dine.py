@@ -8,6 +8,9 @@ state; the reference branch never feeds back into the recursion. The DI-rate
 estimate is the difference of the two optimized DV objectives.
 """
 
+import collections
+import os
+
 import numpy as np
 
 from .nn import Adam, Dense, GradientError, LstmCell, Rng
@@ -65,6 +68,33 @@ def fit_reference(y, margin=0.05, floor=0.1):
     return ReferenceBox(lo - pad, hi + pad)
 
 
+def dv_terms(t_true, t_ref):
+    """Sufficient statistics of the DV objective on one chunk of potentials.
+
+    Returns (sum(t_true - m), n, m, sum(exp(t_ref - m))) with m = max(t_ref);
+    ``dv_combine`` turns the terms of any number of chunks into the value.
+    """
+    if not (np.all(np.isfinite(t_true)) and np.all(np.isfinite(t_ref))):
+        raise GradientError("non-finite DV potential values")
+    m = t_ref.max()
+    return (float(np.sum(t_true - m)), t_true.size, float(m),
+            float(np.sum(np.exp(t_ref - m))))
+
+
+def dv_combine(terms):
+    """DV value mean(t_true) - log mean exp(t_ref) from per-chunk ``dv_terms``.
+
+    Every chunk is shifted to the largest reference maximum M. A constant
+    potential gives sum(t_true - m) = 0, m = M and sum exp = n in every
+    chunk, so its value is exactly 0.0 in floating point.
+    """
+    big = max(m for _, _, m, _ in terms)
+    n = sum(k for _, k, _, _ in terms)
+    mean_true = sum(a + k * (m - big) for a, k, m, _ in terms) / n
+    mean_exp = sum(s * np.exp(m - big) for _, _, m, s in terms) / n
+    return float(mean_true - np.log(mean_exp))
+
+
 def dv_value(t_true, t_ref):
     """Empirical DV objective and its gradients w.r.t. the potential values.
 
@@ -73,18 +103,11 @@ def dv_value(t_true, t_ref):
     """
     t_true = np.asarray(t_true)
     t_ref = np.asarray(t_ref)
-    if not (np.all(np.isfinite(t_true)) and np.all(np.isfinite(t_ref))):
-        raise GradientError("non-finite DV potential values")
-    n = t_true.size
-    m = t_ref.max()
-    e = np.exp(t_ref - m)
-    s = e.sum()
-    # shifting the true term by the same max keeps the constant-potential
-    # identity exact in floating point
-    value = float((t_true - m).mean() - np.log(s / t_ref.size))
+    terms = dv_terms(t_true, t_ref)
+    _, n, m, s = terms
     dt_true = np.full_like(t_true, 1.0 / n)
-    dt_ref = -e / s
-    return value, dt_true, dt_ref
+    dt_ref = -np.exp(t_ref - m) / s
+    return dv_combine([terms]), dt_true, dt_ref
 
 
 class DinePotential:
@@ -226,30 +249,71 @@ class DineModel:
             p.zero_grad()
         return vyx - vy, dx, dy
 
-    def evaluate(self, x, y, ref_gen, box=None, chunk=16):
+    def evaluate(self, x, y, seed, box=None, batch=32):
         """Monte-Carlo evaluation of both objectives with frozen parameters.
 
-        Pools all B*T per-step potentials; chunked over sequences to bound
-        memory. Returns (estimate, d_y, d_yx).
+        Pools all B*T per-step potentials. Chunk k holds ``batch`` sequences
+        and draws its reference samples from its own stream
+        ``Rng(seed).stream(f"eval/{k}/reference")``; chunks run on
+        ``map_chunks`` and return only DV terms, combined in chunk order, so
+        the result does not depend on the worker count. Returns
+        (estimate, d_y, d_yx).
         """
         if box is None:
             box = self.fit_box(y)
-        B, T, _ = y.shape
-        y_ref = box.sample(ref_gen, B, T)
-        parts = {k: [] for k in ("ty", "try", "tyx", "tryx")}
-        jy = self.joint(y, x)
-        jr = self.joint(y_ref, x)
-        for s in range(0, B, chunk):
-            sl = slice(s, s + chunk)
-            ty, tr, _ = self.pot_y.forward(y[sl], y_ref[sl], need_cache=False)
-            tyx, trx, _ = self.pot_yx.forward(jy[sl], jr[sl], need_cache=False)
-            parts["ty"].append(ty)
-            parts["try"].append(tr)
-            parts["tyx"].append(tyx)
-            parts["tryx"].append(trx)
-        vy, _, _ = dv_value(np.concatenate(parts["ty"]), np.concatenate(parts["try"]))
-        vyx, _, _ = dv_value(np.concatenate(parts["tyx"]), np.concatenate(parts["tryx"]))
+        jobs = [(self, x[s:s + batch], y[s:s + batch], box, seed, k)
+                for k, s in enumerate(range(0, y.shape[0], batch))]
+        terms = list(map_chunks(_eval_chunk, jobs))
+        vy = dv_combine([ty for ty, _ in terms])
+        vyx = dv_combine([tyx for _, tyx in terms])
         return vyx - vy, vy, vyx
+
+
+def _eval_chunk(model, x, y, box, seed, k):
+    """DV terms of both potentials on chunk ``k`` of an evaluation."""
+    B, T, _ = y.shape
+    y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
+    ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
+    tyx, trx, _ = model.pot_yx.forward(
+        model.joint(y, x), model.joint(y_ref, x), need_cache=False)
+    return dv_terms(ty, tr), dv_terms(tyx, trx)
+
+
+def usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def map_chunks(fn, jobs):
+    """Yield ``fn(*job)`` for each job, in job order, computed on
+    min(usable CPUs, jobs) processes.
+
+    ``fn`` must be a module-level function. Workers are forked, so a calling
+    script needs no ``__main__`` guard and the worker processes import
+    nothing. Where there is one CPU or one job, or no ``fork``, the jobs run
+    in this process. An exception raised by a job is raised here.
+    """
+    jobs = list(jobs)
+    workers = min(usable_cpus(), len(jobs))
+    # imported here: they would add about 20 ms to every ``import dicap``
+    import multiprocessing
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for job in jobs:
+            yield fn(*job)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        # popped once read, so a result is freed when the caller drops it
+        futures = collections.deque(pool.submit(fn, *job) for job in jobs)
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
@@ -281,7 +345,6 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
 
 def dine_estimate(model, x, y, seed=1, box=None):
     """Final Monte-Carlo DI-rate estimate on long frozen-model trajectories."""
-    ref_gen = Rng(seed).stream("dine-eval-reference")
-    est, vy, vyx = model.evaluate(x, y, ref_gen, box=box)
+    est, vy, vyx = model.evaluate(x, y, seed, box=box)
     return {"estimate_nats": est, "d_y": vy, "d_yx": vyx,
             "samples": int(np.prod(y.shape[:2]))}

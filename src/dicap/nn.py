@@ -51,11 +51,6 @@ def uniform_init(rng, shape, fan_in):
     return rng.uniform(-k, k, size=shape)
 
 
-def check_finite(x, what):
-    if not np.all(np.isfinite(x)):
-        raise GradientError(f"non-finite values in {what}")
-
-
 class Dense:
     """Affine layer with an optional elementwise activation.
 

@@ -22,6 +22,8 @@ from dicap.dine import dine_estimate, dine_train
 from dicap.gradcheck import COMPONENTS, run_suite
 from dicap.nn import Rng
 
+pytestmark = pytest.mark.acceptance
+
 
 def verdict(criterion, ok, detail):
     line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dicap import capest, dine
 from dicap.capest import (TrainConfig, curve_summary, estimate_capacity,
                           monte_carlo_eval)
 from dicap.channels import ChannelSpec
@@ -69,6 +70,44 @@ def test_monte_carlo_zero_potentials_give_exact_zero():
     assert vy == 0.0 and vyx == 0.0
     assert count >= 100_000
     assert power == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
+    rng = Rng(12)
+    model = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
+    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=feedback,
+                   gen=rng.stream("ndt"))
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        # 50 sequences in chunks of 7: the last chunk holds one
+        results.append(monte_carlo_eval(
+            model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
+            seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
+    assert results[0] == results[1]
+    assert results[0][4] == 50 * 99
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_evaluation_failure_gives_failed_report(monkeypatch, cpus, bad):
+    # a potential that goes non-finite after training fails in the final
+    # evaluation; with two CPUs the error is raised in a worker process
+    evaluate = capest.monte_carlo_eval
+
+    def poisoned(model, *args):
+        model.pot_yx.head2.b.value[:] = bad
+        return evaluate(model, *args)
+
+    monkeypatch.setattr(capest, "monte_carlo_eval", poisoned)
+    monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+    report, _, _ = estimate_capacity(ChannelSpec("awgn"),
+                                     TrainConfig(seed=4, **TINY))
+    assert report.failed
+    assert "non-finite" in report.failure_reason
+    assert len(report.curve) == TINY["budget"]
+    assert report.eval_samples == 0
 
 
 def test_feedback_off_never_sees_outputs():

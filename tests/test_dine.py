@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dicap import dine
 from dicap.dine import (DineModel, DinePotential, ReferenceBox, dine_estimate,
-                        dine_train, dv_value, fit_reference)
-from dicap.nn import Rng
+                        dine_train, dv_combine, dv_terms, dv_value,
+                        fit_reference)
+from dicap.nn import GradientError, Rng
 
 
 def test_fit_reference_no_margin():
@@ -105,6 +107,18 @@ def test_dv_constant_potential_is_exactly_zero():
         assert v == 0.0
 
 
+def test_dv_terms_combine_across_chunks():
+    # pooling chunk terms equals the DV value of the concatenated potentials
+    gen = np.random.default_rng(16)
+    t = 3.0 * gen.standard_normal((7, 5))
+    tr = 3.0 * gen.standard_normal((7, 5))
+    whole, _, _ = dv_value(t, tr)
+    terms = [dv_terms(t[s:s + 3], tr[s:s + 3]) for s in range(0, 7, 3)]
+    assert dv_combine(terms) == pytest.approx(whole, rel=1e-12)
+    with pytest.raises(GradientError):
+        dv_terms(t, np.full_like(tr, np.nan))
+
+
 def test_dv_gradient_weights():
     gen = np.random.default_rng(7)
     t = gen.standard_normal((2, 5))
@@ -141,7 +155,7 @@ def test_constant_head_gives_zero_estimate():
     gen = np.random.default_rng(10)
     x = gen.standard_normal((3, 10, 1))
     y = gen.standard_normal((3, 10, 1))
-    est, vy, vyx = model.evaluate(x, y, gen)
+    est, vy, vyx = model.evaluate(x, y, seed=10, batch=2)
     assert est == 0.0
     assert vy == 0.0
     assert vyx == 0.0
@@ -171,11 +185,9 @@ def test_reference_volume_shift_cancels_in_difference(
     # widening the reference box rescales both objectives identically in
     # expectation; the difference moves very little
     model, ex, ey = trained_on_additive_gaussian
-    rng = Rng(21)
     box = model.fit_box(ey)
-    est1, vy1, _ = model.evaluate(ex, ey, rng.stream("r1"), box=box)
-    est2, vy2, _ = model.evaluate(ex, ey, rng.stream("r2"),
-                                  box=box.scaled(2.0))
+    est1, vy1, _ = model.evaluate(ex, ey, 21, box=box)
+    est2, vy2, _ = model.evaluate(ex, ey, 22, box=box.scaled(2.0))
     assert abs(est1 - est2) < 0.02
     # each objective individually drops by roughly log 2 per dimension
     assert vy1 - vy2 == pytest.approx(-np.log(2.0), abs=0.1)
@@ -188,6 +200,19 @@ def test_shuffled_pairing_destroys_dependence(trained_on_additive_gaussian):
     shuffled = dine_estimate(model, ex[perm], ey, seed=13)["estimate_nats"]
     assert paired > 0.1
     assert shuffled <= paired + 0.01
+
+
+def test_dine_estimate_same_for_one_and_two_workers(monkeypatch):
+    model = DineModel(1, 1, hidden=5, head_hidden=4, rng=Rng(17))
+    gen = np.random.default_rng(18)
+    x = gen.standard_normal((70, 30, 1))
+    y = x + gen.standard_normal((70, 30, 1))
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        # 70 sequences in chunks of 32: the last chunk is short
+        results.append(dine_estimate(model, x, y, seed=19))
+    assert results[0] == results[1]
 
 
 def test_dine_train_curve_and_determinism():
