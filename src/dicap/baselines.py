@@ -95,11 +95,16 @@ def _fb_quartic(x, power, alpha):
 def ma1_fb_capacity(power, alpha, tol=1e-12):
     """Feedback capacity of the MA(1) channel: -log(x0) for the quartic root.
 
-    The quartic form is validated separately (see :func:`fb_baseline_trusted`)
+    The quartic form holds for |alpha| <= 1. The noise spectrum for alpha is
+    alpha^2 times the one for 1/alpha, so a channel with |alpha| > 1 is
+    solved as the equivalent one with (power / alpha^2, 1 / alpha). The
+    quartic form is validated separately (see :func:`fb_baseline_trusted`)
     before being relied on.
     """
     if power <= 0:
         raise ValueError("power must be positive")
+    if abs(alpha) > 1.0:
+        power, alpha = power / (alpha * alpha), 1.0 / alpha
     lo, hi = 0.0, 1.0
     flo = _fb_quartic(lo, power, alpha)
     fhi = _fb_quartic(hi, power, alpha)

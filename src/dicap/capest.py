@@ -7,7 +7,7 @@ produce the final estimate and report.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

@@ -30,24 +30,6 @@ class ChannelSpec:
             raise ValueError("ma1 innovation variance is fixed at 1")
 
 
-def channel_reset(spec, batch):
-    """Per-rollout channel state; the MA(1) state is the previous innovation."""
-    if spec.family == "ma1":
-        return np.zeros((batch, 1))
-    return None
-
-
-def channel_step(spec, state, x, gen):
-    """One channel use: y_i = x_i + z_i with family-specific noise memory."""
-    x = np.asarray(x, dtype=np.float64)
-    if spec.family == "awgn":
-        z = np.sqrt(spec.sigma2) * gen.standard_normal(x.shape)
-        return x + z, state
-    u = gen.standard_normal(x.shape)
-    y = x + spec.alpha * state + u
-    return y, u
-
-
 def draw_noise(spec, batch, steps, gen):
     """Pre-draw the full (B, T, 1) additive-noise realization.
 
@@ -97,7 +79,7 @@ def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True,
     via ``fb_norm_decay``).
     """
     z = draw_noise(spec, batch, steps, channel_gen)
-    n = noise_gen.standard_normal((batch, steps, ndt.noise_dim))
+    n = noise_gen.standard_normal((batch, steps, ndt.x_dim))
     if ndt.feedback:
         return _feedback_forward(ndt, n, z, need_cache, fb_norm_decay)
     return _open_loop_forward(ndt, n, z, need_cache)

@@ -11,10 +11,9 @@ import sys
 from dataclasses import fields
 
 import click
-import numpy as np
 
 from . import baselines
-from .capest import LN2, TrainConfig, curve_summary, estimate_capacity
+from .capest import LN2, TrainConfig, estimate_capacity
 from .channels import ChannelSpec
 from .data import (TrajectoryFormatError, read_trajectory_csv,
                    window_batches, write_curve_csv)
@@ -130,14 +129,8 @@ def train_options(cmd):
     return cmd
 
 
-def _collect_overrides(kw):
-    keys = ("batch_size", "seq_len", "budget", "warmup", "dine_lr", "ndt_lr",
-            "dine_hidden", "ndt_hidden", "eval_samples", "seed")
-    return {k: kw[k] for k in keys}
-
-
 def _run_capacity(family, alpha, power, feedback, config_path, out_dir, kw):
-    overrides = _collect_overrides(kw)
+    overrides = dict(kw)
     overrides["power"] = power
     overrides["feedback"] = feedback
     cfg = _build_config(config_path, overrides)
@@ -210,10 +203,7 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
         model, curve = dine_train(
             source, x.shape[1], y.shape[1], hidden=hidden, head_hidden=hidden,
             lr=lr, iters=iters, rng=rng)
-    except TrainingDiverged as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
-    except ValueError as err:
+    except (TrainingDiverged, ValueError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
     # evaluate on the whole file, cut into long sequences

@@ -36,19 +36,10 @@ class ReferenceBox:
     def widths(self):
         return self.hi - self.lo
 
-    def scaled(self, factor):
-        """Box with each dimension widened by ``factor`` about its center."""
-        mid = 0.5 * (self.lo + self.hi)
-        half = 0.5 * self.widths * factor
-        return ReferenceBox(mid - half, mid + half)
-
     def sample(self, gen, batch, steps):
         dim = self.lo.size
         u = gen.uniform(size=(batch, steps, dim))
         return self.lo + u * self.widths
-
-    def contains(self, y):
-        return np.all(y >= self.lo) and np.all(y <= self.hi)
 
 
 def fit_reference(y, margin=0.05, floor=0.1):
@@ -184,12 +175,11 @@ class DineModel:
     """Pair of DV potentials estimating the DI rate from x to y."""
 
     def __init__(self, x_dim=1, y_dim=1, hidden=64, head_hidden=64,
-                 ref_margin=0.05, ref_floor=0.1, rng=None):
+                 ref_margin=0.05, rng=None):
         rng = rng if rng is not None else Rng(0)
         self.x_dim = x_dim
         self.y_dim = y_dim
         self.ref_margin = ref_margin
-        self.ref_floor = ref_floor
         self.pot_y = DinePotential(
             y_dim, hidden, head_hidden, rng.stream("init-pot-y"), name="pot_y")
         self.pot_yx = DinePotential(
@@ -200,7 +190,7 @@ class DineModel:
         return self.pot_y.params() + self.pot_yx.params()
 
     def fit_box(self, y):
-        return fit_reference(y, self.ref_margin, self.ref_floor)
+        return fit_reference(y, self.ref_margin)
 
     @staticmethod
     def joint(y, x):
@@ -216,12 +206,10 @@ class DineModel:
         grads = (dty, dtry, dtyx, dtryx)
         return vy, vyx, (cy, cyx, grads)
 
-    def train_step(self, x, y, ref_gen, adam_y, adam_yx, box=None):
+    def train_step(self, x, y, ref_gen, adam_y, adam_yx):
         """One ascent step of both potentials on a fresh batch."""
-        if box is None:
-            box = self.fit_box(y)
         B, T, _ = y.shape
-        y_ref = box.sample(ref_gen, B, T)
+        y_ref = self.fit_box(y).sample(ref_gen, B, T)
         adam_y.zero_grads()
         adam_yx.zero_grads()
         vy, vyx, (cy, cyx, grads) = self.objectives(x, y, y_ref, need_cache=True)
@@ -317,8 +305,7 @@ def map_chunks(fn, jobs):
 
 
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
-               lr=1e-4, iters=5000, ref_margin=0.05, clip_norm=1.0, rng=None,
-               callback=None):
+               lr=1e-4, iters=5000, rng=None):
     """Train a DineModel on batches from ``data_source(iteration) -> (x, y)``.
 
     Runs a fixed iteration budget; returns (model, curve) where curve rows are
@@ -326,9 +313,9 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
     objective or gradient goes non-finite.
     """
     rng = rng if rng is not None else Rng(0)
-    model = DineModel(x_dim, y_dim, hidden, head_hidden, ref_margin, rng=rng)
-    adam_y = Adam(model.pot_y.params(), lr=lr, clip_norm=clip_norm)
-    adam_yx = Adam(model.pot_yx.params(), lr=lr, clip_norm=clip_norm)
+    model = DineModel(x_dim, y_dim, hidden, head_hidden, rng=rng)
+    adam_y = Adam(model.pot_y.params(), lr=lr)
+    adam_yx = Adam(model.pot_yx.params(), lr=lr)
     ref_gen = rng.stream("dine-reference")
     curve = []
     for it in range(iters):
@@ -338,13 +325,11 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
         except GradientError as err:
             raise TrainingDiverged(it, curve) from err
         curve.append((it, vy, vyx, vyx - vy))
-        if callback is not None:
-            callback(it, vy, vyx)
     return model, curve
 
 
-def dine_estimate(model, x, y, seed=1, box=None):
+def dine_estimate(model, x, y, seed=1):
     """Final Monte-Carlo DI-rate estimate on long frozen-model trajectories."""
-    est, vy, vyx = model.evaluate(x, y, seed, box=box)
+    est, vy, vyx = model.evaluate(x, y, seed)
     return {"estimate_nats": est, "d_y": vy, "d_yx": vyx,
             "samples": int(np.prod(y.shape[:2]))}

@@ -5,32 +5,28 @@ is enabled) through an LSTM and two dense layers to raw channel inputs; a
 differentiable normalization then enforces the average power constraint.
 """
 
-import struct
-
 import numpy as np
 
-from .nn import Dense, LstmCell, ParamBlock
+from .nn import Dense, LstmCell
 
 
 class NdtModel:
     """Generator network with parameters mu.
 
-    Input per step is the noise sample, concatenated with the previous
-    channel output when ``feedback`` is set.
+    Input per step is the noise sample (``x_dim`` values), concatenated with
+    the previous channel output when ``feedback`` is set.
     """
 
-    def __init__(self, x_dim=1, y_dim=1, noise_dim=None, hidden=64,
-                 dense_hidden=64, power=1.0, feedback=False, gen=None,
-                 name="ndt"):
+    def __init__(self, x_dim=1, y_dim=1, hidden=64, dense_hidden=64, power=1.0,
+                 feedback=False, gen=None, name="ndt"):
         if power <= 0:
             raise ValueError("power budget must be positive")
         gen = gen if gen is not None else np.random.default_rng(0)
         self.x_dim = x_dim
         self.y_dim = y_dim
-        self.noise_dim = noise_dim if noise_dim is not None else x_dim
         self.power = power
         self.feedback = feedback
-        in_dim = self.noise_dim + (y_dim if feedback else 0)
+        in_dim = x_dim + (y_dim if feedback else 0)
         self.cell = LstmCell(in_dim, hidden, gen, name=f"{name}.lstm")
         self.dense1 = Dense(hidden, dense_hidden, "tanh", gen, name=f"{name}.dense1")
         self.dense2 = Dense(dense_hidden, x_dim, "linear", gen, name=f"{name}.dense2")
@@ -63,15 +59,9 @@ class NdtModel:
         dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw))
         dh = dh + dh_carry
         dinp, dh_prev, dc_prev = self.cell.backward_step(lc, dh, dc_carry)
-        dnoise = dinp[:, :self.noise_dim]
-        dfb = dinp[:, self.noise_dim:] if self.feedback else None
+        dnoise = dinp[:, :self.x_dim]
+        dfb = dinp[:, self.x_dim:] if self.feedback else None
         return dnoise, dfb, dh_prev, dc_prev
-
-    def save(self, path):
-        save_params(path, self.params())
-
-    def load(self, path):
-        load_params(path, self.params())
 
 
 def power_normalize(raw, power, eps=1e-12):
@@ -93,66 +83,3 @@ def power_normalize_backward(cache, dx):
     dscale = float(np.sum(dx * raw))
     dms = -0.5 * dscale * scale / (ms + eps)
     return dx * scale + dms * 2.0 * raw / raw.size
-
-
-_MAGIC = b"DCAPPB01"
-
-
-def save_params(path, params):
-    """Flat parameter file: named blocks with shapes, little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<B", p.value.ndim))
-            for d in p.value.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(p.value.astype("<f8").tobytes(order="C"))
-
-
-def load_params(path, params):
-    """Load a parameter file written by save_params into matching blocks."""
-    by_name = {p.name: p for p in params}
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a dicap parameter file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        seen = set()
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            if name not in by_name:
-                raise ValueError(f"unknown parameter block {name!r}")
-            p = by_name[name]
-            if p.value.shape != shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            p.value[...] = data
-            seen.add(name)
-    missing = set(by_name) - seen
-    if missing:
-        raise ValueError(f"missing parameter blocks: {sorted(missing)}")
-
-
-def read_param_file(path):
-    """Read a parameter file into fresh ParamBlocks (for inspection)."""
-    blocks = []
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a dicap parameter file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            blocks.append(ParamBlock(name, data.copy()))
-    return blocks

@@ -52,14 +52,14 @@ def uniform_init(rng, shape, fan_in):
 
 
 class Dense:
-    """Affine layer with an optional elementwise activation.
+    """Affine layer with an optional tanh activation.
 
     Accepts inputs of shape (..., in_dim); the leading axes are flattened
     internally and restored on output.
     """
 
     def __init__(self, in_dim, out_dim, activation="tanh", rng=None, name="dense"):
-        if activation not in ("linear", "tanh", "relu"):
+        if activation not in ("linear", "tanh"):
             raise ValueError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -81,8 +81,6 @@ class Dense:
         z = xf @ self.W.value + self.b.value
         if self.activation == "tanh":
             out = np.tanh(z)
-        elif self.activation == "relu":
-            out = np.maximum(z, 0.0)
         else:
             out = z
         cache = (xf, out)
@@ -93,8 +91,6 @@ class Dense:
         df = np.asarray(dout, dtype=np.float64).reshape(-1, self.out_dim)
         if self.activation == "tanh":
             dz = df * (1.0 - out * out)
-        elif self.activation == "relu":
-            dz = df * (out > 0.0)
         else:
             dz = df
         self.W.grad += xf.T @ dz
@@ -188,16 +184,14 @@ class Adam:
     blocks before the update (None disables it).
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 clip_norm=1.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3, clip_norm=1.0):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate ParamBlock names")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}

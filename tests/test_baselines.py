@@ -81,6 +81,19 @@ def test_fb_dominates_ff():
     assert fb > ff
 
 
+def test_fb_large_alpha_maps_to_equivalent_channel():
+    # S_Z for alpha is alpha^2 times S_Z for 1/alpha, so the channel with
+    # (P, alpha) has the capacity of the one with (P / alpha^2, 1 / alpha)
+    for a in (2.0, -2.0, 3.0):
+        for p in (0.5, 1.0, 2.0):
+            fb = bl.ma1_fb_capacity(p, a).capacity_nats
+            mapped = bl.ma1_fb_capacity(p / (a * a), 1.0 / a).capacity_nats
+            assert fb == mapped
+            assert fb >= bl.ma1_ff_capacity(p, a).capacity_nats
+    assert bl.ma1_fb_capacity(1.0, 2.0).capacity_nats == pytest.approx(
+        0.25524, abs=1e-5)
+
+
 def test_fb_vanishes_with_power():
     assert bl.ma1_fb_capacity(1e-9, 0.5).capacity_nats < 1e-4
 

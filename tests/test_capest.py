@@ -114,7 +114,7 @@ def test_feedback_off_never_sees_outputs():
     cfg = TrainConfig(seed=8, **TINY)
     _, _, ndt = estimate_capacity(ChannelSpec("ma1", alpha=0.5), cfg)
     assert not ndt.feedback
-    assert ndt.cell.in_dim == ndt.noise_dim
+    assert ndt.cell.in_dim == ndt.x_dim
 
 
 def test_curve_summary_constant():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dicap.channels import (ChannelSpec, channel_reset, channel_step,
-                            draw_noise, rollout)
+from dicap.channels import ChannelSpec, draw_noise, rollout
 from dicap.ndt import NdtModel
 from dicap.nn import Rng
 
@@ -42,31 +41,19 @@ def test_ma1_autocovariance():
     assert abs(lag1 - alpha) < 3 * 2.0 / np.sqrt(n)
 
 
-def test_channel_step_contract():
-    spec = ChannelSpec("ma1", alpha=0.5)
-    state = channel_reset(spec, 3)
-    assert np.all(state == 0.0)
-    gen = Rng(3).stream("z")
-    x = np.ones((3, 1))
-    y1, state = channel_step(spec, state, x, gen)
-    y2, state = channel_step(spec, state, x, gen)
-    assert y1.shape == (3, 1)
-    # state carries the previous innovation: replaying with the same stream
-    # and stepping manually reproduces the outputs
-    gen2 = Rng(3).stream("z")
-    u1 = gen2.standard_normal((3, 1))
-    u2 = gen2.standard_normal((3, 1))
-    assert np.allclose(y1, x + u1)
-    assert np.allclose(y2, x + 0.5 * u1 + u2)
-
-
-def test_channel_step_awgn_stateless():
-    spec = ChannelSpec("awgn", sigma2=1.0)
-    state = channel_reset(spec, 2)
-    assert state is None
-    y, state = channel_step(spec, state, np.zeros((2, 1)), Rng(4).stream("z"))
-    assert state is None
-    assert y.shape == (2, 1)
+def test_draw_noise_replays_innovations():
+    # MA(1) noise carries the previous innovation: replaying the same stream
+    # by hand gives z_0 = u_0 and z_1 = alpha * u_0 + u_1
+    z = draw_noise(ChannelSpec("ma1", alpha=0.5), 3, 2, Rng(3).stream("z"))
+    assert z.shape == (3, 2, 1)
+    u = Rng(3).stream("z").standard_normal((3, 2, 1))
+    assert np.array_equal(z[:, 0], u[:, 0])
+    assert np.allclose(z[:, 1], 0.5 * u[:, 0] + u[:, 1])
+    # AWGN has no memory: one (B, T, 1) draw, scaled by the noise std
+    z = draw_noise(ChannelSpec("awgn", sigma2=4.0), 2, 5, Rng(4).stream("z"))
+    assert z.shape == (2, 5, 1)
+    u = Rng(4).stream("z").standard_normal((2, 5, 1))
+    assert np.array_equal(z, 2.0 * u)
 
 
 def test_rollout_zero_generator_gives_pure_noise():

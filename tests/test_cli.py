@@ -24,12 +24,15 @@ def test_baseline_awgn_json(runner):
 
 
 def test_baseline_ma1_json(runner):
-    res = runner.invoke(main, ["baseline", "--family", "ma1",
-                               "--alpha", "0.5", "--power", "1"])
-    assert res.exit_code == 0
-    out = json.loads(res.output)
-    assert out["feedback_capacity_nats"] > out["feedforward_capacity_nats"]
-    assert out["diagnostics"]["fb_baseline_trusted"]
+    for alpha in ("0.5", "2"):
+        res = runner.invoke(main, ["baseline", "--family", "ma1",
+                                   "--alpha", alpha, "--power", "1"])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert out["feedback_capacity_nats"] > out["feedforward_capacity_nats"]
+        assert out["diagnostics"]["fb_baseline_trusted"]
+    # alpha = 2, P = 1 is the channel alpha = 0.5, P = 0.25
+    assert out["feedback_capacity_nats"] == pytest.approx(0.25524, abs=1e-5)
 
 
 def test_baseline_missing_power_is_usage_error(runner):
@@ -88,6 +91,22 @@ def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
                                "--config", str(cfg)])
     assert res.exit_code == 2
     assert "unknown config keys" in res.output
+
+
+def test_capacity_flag_overrides_config_file(runner, tmp_path):
+    # a flag that is given overrides the file; one left out keeps its value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 3, "seed": 4}))
+    res = runner.invoke(main, [
+        "capacity", "--family", "awgn", "--power", "1", "--config", str(cfg),
+        "--budget", "2", "--batch-size", "4", "--seq-len", "8",
+        "--warmup", "1", "--eval-samples", "100000", "--dine-hidden", "6",
+        "--ndt-hidden", "5", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((tmp_path / "capacity_awgn_a0_P1_ff_s4.json").read_text())
+    assert rep["config"]["budget"] == 2
+    assert rep["config"]["seed"] == 4
+    assert len(rep["curve"]) == 2
 
 
 def test_di_estimate_empty_file(runner, tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dicap.channels import ChannelSpec, rollout
-from dicap.ndt import (NdtModel, load_params, power_normalize,
-                       power_normalize_backward, read_param_file, save_params)
+from dicap.ndt import NdtModel, power_normalize, power_normalize_backward
 from dicap.nn import Rng
 
 
@@ -153,32 +152,6 @@ def test_rollout_determinism():
                 rng.stream("c"), need_cache=False)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
-
-
-def test_param_persistence_roundtrip(tmp_path):
-    rng = Rng(9)
-    ndt = NdtModel(1, 1, hidden=5, dense_hidden=4, feedback=True,
-                   gen=rng.stream("init"))
-    path = tmp_path / "ndt.params"
-    ndt.save(path)
-    blocks = read_param_file(path)
-    assert {b.name for b in blocks} == {p.name for p in ndt.params()}
-
-    ndt2 = NdtModel(1, 1, hidden=5, dense_hidden=4, feedback=True,
-                    gen=rng.stream("other-init"))
-    ndt2.load(path)
-    for p, q in zip(ndt.params(), ndt2.params()):
-        assert np.array_equal(p.value, q.value)
-
-
-def test_param_load_rejects_shape_mismatch(tmp_path):
-    rng = Rng(10)
-    ndt = NdtModel(1, 1, hidden=5, dense_hidden=4, gen=rng.stream("init"))
-    path = tmp_path / "ndt.params"
-    ndt.save(path)
-    other = NdtModel(1, 1, hidden=6, dense_hidden=4, gen=rng.stream("x"))
-    with pytest.raises(ValueError):
-        other.load(path)
 
 
 def test_zero_learning_rate_leaves_params():
