@@ -41,14 +41,26 @@ def test_ma1_autocovariance():
     assert abs(lag1 - alpha) < 3 * 2.0 / np.sqrt(n)
 
 
-def test_draw_noise_replays_innovations():
-    # MA(1) noise carries the previous innovation: replaying the same stream
-    # by hand gives z_0 = u_0 and z_1 = alpha * u_0 + u_1
-    z = draw_noise(ChannelSpec("ma1", alpha=0.5), 3, 2, Rng(3).stream("z"))
+def test_channel_step_contract():
+    # each MA(1) channel use carries the previous innovation: replaying the
+    # same stream by hand gives z_0 = u_0 and z_1 = alpha * u_0 + u_1
+    spec = ChannelSpec("ma1", alpha=0.5)
+    z = draw_noise(spec, 3, 2, Rng(3).stream("z"))
     assert z.shape == (3, 2, 1)
     u = Rng(3).stream("z").standard_normal((3, 2, 1))
     assert np.array_equal(z[:, 0], u[:, 0])
     assert np.allclose(z[:, 1], 0.5 * u[:, 0] + u[:, 1])
+    # the per-step feedback rollout applies y_i = x_i + z_i at every use
+    rng = Rng(3)
+    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=True,
+                   gen=rng.stream("init"))
+    ro = rollout(ndt, spec, 3, 6, rng.stream("n"), rng.stream("c"),
+                 need_cache=False)
+    assert np.array_equal(ro.noise, draw_noise(spec, 3, 6, rng.stream("c")))
+    assert np.allclose(ro.y, ro.x + ro.noise)
+
+
+def test_channel_step_awgn_stateless():
     # AWGN has no memory: one (B, T, 1) draw, scaled by the noise std
     z = draw_noise(ChannelSpec("awgn", sigma2=4.0), 2, 5, Rng(4).stream("z"))
     assert z.shape == (2, 5, 1)
