@@ -15,7 +15,8 @@ from . import baselines
 from .channels import rollout
 # dv_value is no longer called here; it stays importable as capest.dv_value
 # because tracers that wrap it look it up at every name it was imported by
-from .dine import DineModel, dv_value, map_chunks  # noqa: F401
+from .dine import (DineModel, dv_value, map_chunks,  # noqa: F401
+                   potential_helper)
 from .nn import Adam, GradientError, Rng
 from .ndt import NdtModel
 
@@ -165,21 +166,23 @@ def estimate_capacity(spec, config):
     failed = False
     reason = ""
     try:
-        for _ in range(config.warmup):
-            ro = fresh(False)
-            dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx)
-        for it in range(config.budget):
-            for _ in range(config.dine_steps_per_ndt):
+        with potential_helper(dine.pot_y, adam_y) as helper:
+            for _ in range(config.warmup):
                 ro = fresh(False)
-                vy, vyx = dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx)
-            ro = fresh(True)
-            box = dine.fit_box(ro.y)
-            y_ref = box.sample(ref_gen, B, T)
-            obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref)
-            adam_ndt.zero_grads()
-            ro.backward(dx, dy)
-            adam_ndt.step()
-            curve.append((it, vy, vyx, obj, ro.realized_power))
+                dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx, helper)
+            for it in range(config.budget):
+                for _ in range(config.dine_steps_per_ndt):
+                    ro = fresh(False)
+                    vy, vyx = dine.train_step(ro.x, ro.y, ref_gen, adam_y,
+                                              adam_yx, helper)
+                ro = fresh(True)
+                box = dine.fit_box(ro.y)
+                y_ref = box.sample(ref_gen, B, T)
+                obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref, helper)
+                adam_ndt.zero_grads()
+                ro.backward(dx, dy)
+                adam_ndt.step()
+                curve.append((it, vy, vyx, obj, ro.realized_power))
         est, vy, vyx, realized, count = monte_carlo_eval(
             dine, ndt, spec, config.eval_samples, config.seed + 1,
             config.eval_seq_len, config.eval_batch, decay)

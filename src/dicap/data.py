@@ -5,6 +5,7 @@ a single contiguous realization per file.
 """
 
 import csv
+from array import array
 
 import numpy as np
 
@@ -49,22 +50,23 @@ def read_trajectory_csv(path):
             raise TrajectoryFormatError(
                 f"{path}: header must be x0..x{{dx-1}},y0..y{{dy-1}}, "
                 f"got {header}")
-        xs, ys = [], []
+        # one flat buffer of doubles, reshaped once: per-row lists of Python
+        # floats took many times the memory of the arrays they became
+        values = array("d")
         for row_num, row in enumerate(reader, start=2):
             if len(row) != dx + dy:
                 raise TrajectoryFormatError(
                     f"{path}: row {row_num}: expected {dx + dy} fields, "
                     f"got {len(row)}")
             try:
-                vals = [float(v) for v in row]
+                values.extend(map(float, row))
             except ValueError as err:
                 raise TrajectoryFormatError(
                     f"{path}: row {row_num}: {err}") from None
-            xs.append(vals[:dx])
-            ys.append(vals[dx:])
-    if not xs:
+    if not values:
         raise TrajectoryFormatError(f"{path}: no data rows")
-    return np.array(xs), np.array(ys)
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, dx + dy)
+    return table[:, :dx].copy(), table[:, dx:].copy()
 
 
 def window_batches(x, y, batch, steps, gen=None):

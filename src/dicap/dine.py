@@ -9,7 +9,10 @@ estimate is the difference of the two optimized DV objectives.
 """
 
 import collections
+import contextlib
 import os
+import pickle
+import sys
 
 import numpy as np
 
@@ -171,6 +174,27 @@ class DinePotential:
         return d_true, d_ref
 
 
+def potential_step(pot, adam, true_in, ref_in):
+    """Forward, DV value and backward of one potential on one batch.
+
+    With ``adam``, its grads are zeroed first and one ascent step follows;
+    returns (value, None). With ``adam`` None the parameters are frozen: the
+    accumulated grads are zeroed afterwards, and the gradients w.r.t. the
+    inputs are returned as (value, (d_true, d_ref)).
+    """
+    if adam is not None:
+        adam.zero_grads()
+    t_true, t_ref, caches = pot.forward(true_in, ref_in)
+    value, dt_true, dt_ref = dv_value(t_true, t_ref)
+    d_in = pot.backward(caches, dt_true, dt_ref)
+    if adam is not None:
+        adam.step()
+        return value, None
+    for p in pot.params():
+        p.zero_grad()
+    return value, d_in
+
+
 class DineModel:
     """Pair of DV potentials estimating the DI rate from x to y."""
 
@@ -196,46 +220,47 @@ class DineModel:
     def joint(y, x):
         return np.concatenate([y, x], axis=-1)
 
-    def objectives(self, x, y, y_ref, need_cache=False):
-        """DV objectives of both potentials on a batch; optionally with caches."""
-        ty, try_, cy = self.pot_y.forward(y, y_ref, need_cache)
-        tyx, tryx, cyx = self.pot_yx.forward(
-            self.joint(y, x), self.joint(y_ref, x), need_cache)
-        vy, dty, dtry = dv_value(ty, try_)
-        vyx, dtyx, dtryx = dv_value(tyx, tryx)
-        grads = (dty, dtry, dtyx, dtryx)
-        return vy, vyx, (cy, cyx, grads)
+    def train_step(self, x, y, ref_gen, adam_y, adam_yx, helper=None):
+        """One ascent step of both potentials on a fresh batch.
 
-    def train_step(self, x, y, ref_gen, adam_y, adam_yx):
-        """One ascent step of both potentials on a fresh batch."""
+        With ``helper`` from ``potential_helper(self.pot_y, adam_y)``, pot_y
+        and its Adam step in the helper process while pot_yx steps here.
+        """
         B, T, _ = y.shape
         y_ref = self.fit_box(y).sample(ref_gen, B, T)
-        adam_y.zero_grads()
-        adam_yx.zero_grads()
-        vy, vyx, (cy, cyx, grads) = self.objectives(x, y, y_ref, need_cache=True)
-        dty, dtry, dtyx, dtryx = grads
-        self.pot_y.backward(cy, dty, dtry)
-        self.pot_yx.backward(cyx, dtyx, dtryx)
-        adam_y.step()
-        adam_yx.step()
+        (vy, _), (vyx, _) = self._step_pair(x, y, y_ref, helper,
+                                            adam_y, adam_yx)
         return vy, vyx
 
-    def input_gradients(self, x, y, y_ref):
+    def input_gradients(self, x, y, y_ref, helper=None):
         """Value and gradients of the DI objective w.r.t. the trajectories.
 
         Objective is D_yx - D_y with potential parameters treated as frozen
         (their accumulated grads are zeroed afterwards). The reference box and
-        reference samples are treated as constants.
+        reference samples are treated as constants. ``helper`` as in
+        ``train_step``.
         """
-        vy, vyx, (cy, cyx, grads) = self.objectives(x, y, y_ref, need_cache=True)
-        dty, dtry, dtyx, dtryx = grads
-        dy_t, dy_r = self.pot_y.backward(cy, dty, dtry)
-        dj_t, dj_r = self.pot_yx.backward(cyx, dtyx, dtryx)
+        (vy, (dy_t, _)), (vyx, (dj_t, dj_r)) = self._step_pair(
+            x, y, y_ref, helper, None, None)
         dy = dj_t[..., :self.y_dim] - dy_t
         dx = dj_t[..., self.y_dim:] + dj_r[..., self.y_dim:]
-        for p in self.params():
-            p.zero_grad()
         return vyx - vy, dx, dy
+
+    def _step_pair(self, x, y, y_ref, helper, adam_y, adam_yx):
+        """``potential_step`` of pot_y and of pot_yx; with ``helper``, pot_y's
+        runs there at the same time. A GradientError of pot_y is raised in
+        preference to one of pot_yx, as when pot_y runs first here."""
+        joint = (self.joint(y, x), self.joint(y_ref, x))
+        if helper is None:
+            out_y = potential_step(self.pot_y, adam_y, y, y_ref)
+            return out_y, potential_step(self.pot_yx, adam_yx, *joint)
+        helper.send(y, y_ref, train=adam_yx is not None)
+        try:
+            out_yx = potential_step(self.pot_yx, adam_yx, *joint)
+        except GradientError:
+            helper.receive()
+            raise
+        return helper.receive(), out_yx
 
     def evaluate(self, x, y, seed, box=None, batch=32):
         """Monte-Carlo evaluation of both objectives with frozen parameters.
@@ -304,6 +329,140 @@ def map_chunks(fn, jobs):
         pool.shutdown(cancel_futures=True)
 
 
+# the directory holding this dicap package, put first on the helper's path
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from dicap.dine import _serve; _serve()")
+
+
+def _write_frame(fh, obj):
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    fh.write(len(data).to_bytes(8, "little"))
+    fh.write(data)
+    fh.flush()
+
+
+def _read_frame(fh):
+    head = fh.read(8)
+    if len(head) < 8:
+        raise EOFError
+    return pickle.loads(fh.read(int.from_bytes(head, "little")))
+
+
+class _Helper:
+    """A child process that owns a copy of one potential and its Adam and
+    runs ``potential_step`` on the batches it is sent.
+
+    The process is started from a fresh interpreter, not forked, with BLAS
+    pinned to one thread; requests and replies are length-prefixed pickle
+    frames on its stdin and stdout. It exits when its stdin closes.
+    """
+
+    def __init__(self, pot, adam):
+        # imported here: it would add to every ``import dicap``
+        import subprocess
+        self.pot, self.adam = pot, adam
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _HELPER_MAIN, _PACKAGE_ROOT],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        try:
+            _write_frame(self.proc.stdin, (pot, adam))
+        except BaseException:
+            self.stop(kill=True)
+            raise
+
+    def send(self, true_in, ref_in, train):
+        _write_frame(self.proc.stdin, (true_in, ref_in, train))
+
+    def receive(self):
+        """The reply to the last ``send``; re-raises the helper's
+        GradientError. Any other error ends the helper, with its traceback
+        on the shared stderr."""
+        try:
+            ok, out = _read_frame(self.proc.stdout)
+        except EOFError:
+            raise RuntimeError(f"potential helper exited with code "
+                               f"{self.proc.wait()}") from None
+        if not ok:
+            raise out
+        return out
+
+    def finish(self):
+        """Copy the helper's potential and Adam state back, then stop it."""
+        _write_frame(self.proc.stdin, None)
+        pot, adam = self.receive()
+        for mine, theirs in zip(self.pot.params(), pot.params()):
+            mine.value[...] = theirs.value
+            mine.grad[...] = theirs.grad
+        for name in self.adam.m:
+            self.adam.m[name][...] = adam.m[name]
+            self.adam.v[name][...] = adam.v[name]
+        self.adam.t = adam.t
+        self.stop()
+
+    def stop(self, kill=False):
+        """Kill the helper, or close its stdin so that it exits; wait for it."""
+        if kill:
+            self.proc.kill()
+        with contextlib.suppress(OSError):   # unflushed bytes to a dead pipe
+            self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.proc.wait()
+
+
+def _serve():
+    """Main loop of a ``_Helper`` process."""
+    import signal
+    # Ctrl-C reaches the whole process group; the parent stops the helper
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests = sys.stdin.buffer
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)           # stray output goes to stderr, not into a frame
+    pot, adam = _read_frame(requests)
+    while True:
+        try:
+            req = _read_frame(requests)
+        except EOFError:
+            return
+        if req is None:
+            _write_frame(replies, (True, (pot, adam)))
+            continue
+        true_in, ref_in, train = req
+        try:
+            reply = (True, potential_step(pot, adam if train else None,
+                                          true_in, ref_in))
+        except GradientError as err:
+            reply = (False, err)
+        _write_frame(replies, reply)
+
+
+@contextlib.contextmanager
+def potential_helper(pot, adam):
+    """Step ``pot`` and ``adam`` in a helper process inside the block.
+
+    Yields the handle that ``DineModel.train_step`` and ``input_gradients``
+    take, or None where fewer than two CPUs are usable (both potentials
+    then step in this process). On a normal exit the helper's parameters
+    and Adam state are copied back into ``pot`` and ``adam``; on an
+    exception the helper is killed and ``pot`` keeps its state from before
+    the block. The potential's arithmetic is the same in either process,
+    so results do not depend on the CPU count. The helper is a fresh
+    interpreter, so a calling script needs no ``__main__`` guard.
+    """
+    if usable_cpus() < 2:
+        yield None
+        return
+    helper = _Helper(pot, adam)
+    try:
+        yield helper
+    except BaseException:
+        helper.stop(kill=True)
+        raise
+    helper.finish()
+
+
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
                lr=1e-4, iters=5000, rng=None):
     """Train a DineModel on batches from ``data_source(iteration) -> (x, y)``.
@@ -318,13 +477,15 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
     adam_yx = Adam(model.pot_yx.params(), lr=lr)
     ref_gen = rng.stream("dine-reference")
     curve = []
-    for it in range(iters):
-        x, y = data_source(it)
-        try:
-            vy, vyx = model.train_step(x, y, ref_gen, adam_y, adam_yx)
-        except GradientError as err:
-            raise TrainingDiverged(it, curve) from err
-        curve.append((it, vy, vyx, vyx - vy))
+    with potential_helper(model.pot_y, adam_y) as helper:
+        for it in range(iters):
+            x, y = data_source(it)
+            try:
+                vy, vyx = model.train_step(x, y, ref_gen, adam_y, adam_yx,
+                                           helper)
+            except GradientError as err:
+                raise TrainingDiverged(it, curve) from err
+            curve.append((it, vy, vyx, vyx - vy))
     return model, curve
 
 

@@ -110,6 +110,57 @@ def test_evaluation_failure_gives_failed_report(monkeypatch, cpus, bad):
     assert report.eval_samples == 0
 
 
+def _report_fields(report):
+    fields = report.to_dict()
+    fields.pop("wall_time_s")
+    return fields
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_training_same_for_one_and_two_cpus(monkeypatch, started_helpers,
+                                            feedback):
+    # with two CPUs pot_y trains in a helper process
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        report, model, ndt = estimate_capacity(
+            ChannelSpec("ma1", alpha=0.5),
+            TrainConfig(seed=10, feedback=feedback, **TINY))
+        runs.append((_report_fields(report),
+                     [p.value for p in model.params() + ndt.params()]))
+        assert len(started_helpers) == cpus - 1
+    (rep1, params1), (rep2, params2) = runs
+    assert not rep1["failed"]
+    assert rep1 == rep2
+    assert all(np.array_equal(a, b) for a, b in zip(params1, params2))
+    assert started_helpers[0].poll() is not None
+
+
+@pytest.mark.parametrize("poisoned", ["pot_y", "pot_yx", "both"])
+def test_training_failure_same_for_one_and_two_cpus(
+        monkeypatch, started_helpers, poisoned):
+    init = DineModel.__init__
+
+    def poisoned_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for name in ("pot_y", "pot_yx"):
+            if poisoned in (name, "both"):
+                getattr(self, name).head2.b.value[:] = np.nan
+
+    monkeypatch.setattr(DineModel, "__init__", poisoned_init)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        report, _, _ = estimate_capacity(ChannelSpec("awgn"),
+                                         TrainConfig(seed=11, **TINY))
+        reports.append(_report_fields(report))
+    assert reports[0]["failed"]
+    assert "non-finite" in reports[0]["failure_reason"]
+    assert reports[0] == reports[1]
+    assert len(started_helpers) == 1
+    assert started_helpers[0].poll() is not None
+
+
 def test_feedback_off_never_sees_outputs():
     cfg = TrainConfig(seed=8, **TINY)
     _, _, ndt = estimate_capacity(ChannelSpec("ma1", alpha=0.5), cfg)

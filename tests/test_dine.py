@@ -5,7 +5,7 @@ from dicap import dine
 from dicap.dine import (DineModel, DinePotential, ReferenceBox, dine_estimate,
                         dine_train, dv_combine, dv_terms, dv_value,
                         fit_reference)
-from dicap.nn import GradientError, Rng
+from dicap.nn import Adam, GradientError, Rng
 
 
 def test_fit_reference_no_margin():
@@ -233,3 +233,89 @@ def test_dine_train_curve_and_determinism():
     _, c2 = make()
     assert len(c1) == 10
     assert c1 == c2
+
+
+def _additive_source(seed, batch=4, steps=8, fail_at=None):
+    gen = np.random.default_rng(seed)
+
+    def source(it):
+        if it == fail_at:
+            raise RuntimeError("data source failed")
+        x = gen.standard_normal((batch, steps, 1))
+        return x, x + gen.standard_normal((batch, steps, 1))
+
+    return source
+
+
+def test_dine_train_same_for_one_and_two_cpus(monkeypatch, started_helpers):
+    # with two CPUs pot_y trains in a helper process
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        runs.append(dine_train(_additive_source(20), 1, 1, hidden=6,
+                               head_hidden=4, lr=1e-3, iters=12, rng=Rng(21)))
+        assert len(started_helpers) == cpus - 1
+    (m1, c1), (m2, c2) = runs
+    assert c1 == c2
+    assert all(np.array_equal(a.value, b.value) and
+               np.array_equal(a.grad, b.grad)
+               for a, b in zip(m1.params(), m2.params()))
+    assert started_helpers[0].poll() is not None
+
+
+def test_dine_train_failure_same_for_one_and_two_cpus(monkeypatch,
+                                                     started_helpers):
+    init = DineModel.__init__
+
+    def poisoned_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.pot_y.head2.b.value[:] = np.nan
+
+    monkeypatch.setattr(DineModel, "__init__", poisoned_init)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        with pytest.raises(dine.TrainingDiverged) as err:
+            dine_train(_additive_source(22), 1, 1, hidden=6, head_hidden=4,
+                       iters=5, rng=Rng(23))
+        errors.append((err.value.iteration, err.value.curve,
+                       str(err.value.__cause__)))
+    assert errors[0] == errors[1]
+    assert started_helpers[0].poll() is not None
+
+
+def test_helper_stopped_when_training_raises(monkeypatch, started_helpers):
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="data source failed"):
+        dine_train(_additive_source(24, fail_at=3), 1, 1, hidden=6,
+                   head_hidden=4, iters=5, rng=Rng(25))
+    assert len(started_helpers) == 1
+    assert started_helpers[0].poll() is not None
+
+
+def test_training_continues_after_helper_exits(monkeypatch, started_helpers):
+    # parameters and Adam state come back from the helper: steps taken
+    # after the block match a run that never used it
+    source = _additive_source(26)
+    batches = [source(it) for it in range(8)]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        rng = Rng(27)
+        model = DineModel(1, 1, hidden=6, head_hidden=4, rng=rng)
+        adam_y = Adam(model.pot_y.params(), lr=1e-3)
+        adam_yx = Adam(model.pot_yx.params(), lr=1e-3)
+        ref_gen = rng.stream("dine-reference")
+        values = []
+        with dine.potential_helper(model.pot_y, adam_y) as helper:
+            for x, y in batches[:5]:
+                values.append(model.train_step(x, y, ref_gen, adam_y, adam_yx,
+                                               helper))
+        for x, y in batches[5:]:
+            values.append(model.train_step(x, y, ref_gen, adam_y, adam_yx))
+        runs.append((values, [p.value for p in model.params()], adam_y.t))
+    assert runs[0][0] == runs[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
+    assert runs[1][2] == 8
+    assert len(started_helpers) == 1
+    assert started_helpers[0].poll() is not None
