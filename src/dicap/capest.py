@@ -7,7 +7,7 @@ produce the final estimate and report.
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -15,8 +15,8 @@ from . import baselines
 from .channels import rollout
 # dv_value is no longer called here; it stays importable as capest.dv_value
 # because tracers that wrap it look it up at every name it was imported by
-from .dine import (DineModel, dv_value, map_chunks,  # noqa: F401
-                   potential_helper)
+from .dine import (DineModel, _eval_chunks, dv_value,  # noqa: F401
+                   helpers, pooled_estimate, potential_helper, run_blocks)
 from .nn import Adam, GradientError, Rng
 from .ndt import NdtModel
 
@@ -46,6 +46,10 @@ class TrainConfig:
     fb_norm_decay: float = 0.0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         positive = ("batch_size", "seq_len", "dine_lr", "ndt_lr", "budget",
                     "dine_steps_per_ndt", "power", "eval_samples",
                     "eval_seq_len", "eval_batch", "dine_hidden", "head_hidden",
@@ -106,35 +110,50 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048, batch=32,
 
     Chunk k is ``batch`` sequences generated from its own streams
     ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and ``.../channel``; power
-    normalization applies per chunk. The rollouts and the evaluation of
-    ``dine.evaluate`` (reference stream ``eval/{k}/reference``) run on
-    ``map_chunks``, so the result does not depend on the worker count.
-    Returns (estimate, d_y, d_yx, realized_power, actual sample count).
+    normalization applies per chunk. Chunks run in blocks on ``run_blocks``:
+    each process keeps the rollouts of its block and scores them as
+    ``dine.evaluate`` does (reference stream ``eval/{k}/reference``), so
+    only per-chunk sums, output ranges and DV terms come back. They are
+    combined in chunk order, so the result does not depend on the worker
+    count. Returns (estimate, d_y, d_yx, realized_power, actual sample count).
     """
     n_seq = -(-samples // seq_len)
-    jobs = [(ndt, spec, min(batch, n_seq - s), seq_len, seed, k, fb_norm_decay)
-            for k, s in enumerate(range(0, n_seq, batch))]
-    # filled chunk by chunk as results arrive: the parent never holds the
-    # rollouts twice
-    x = np.empty((n_seq, seq_len, ndt.x_dim))
-    y = np.empty_like(x)
+    chunks = [(k, min(batch, n_seq - s))
+              for k, s in enumerate(range(0, n_seq, batch))]
+    mine = {}
+    with helpers():
+        stats = run_blocks(mine, _rollout_chunks, chunks, ndt, spec, seq_len,
+                           seed, fb_norm_decay)
+        # the box of all outputs is the box of the chunks' output ranges
+        box = dine.fit_box(np.concatenate([y_range for _, y_range in stats]))
+        est, vy, vyx = pooled_estimate(mine, _eval_rollouts, chunks, dine,
+                                       box, seed)
     sumsq = 0.0
-    for k, (xk, yk) in enumerate(map_chunks(_rollout_chunk, jobs)):
-        x[k * batch:(k + 1) * batch] = xk
-        y[k * batch:(k + 1) * batch] = yk
-        sumsq += float(np.sum(xk * xk))
+    for chunk_sumsq, _ in stats:
+        sumsq += chunk_sumsq
     count = n_seq * seq_len
-    est, vy, vyx = dine.evaluate(x, y, seed, batch=batch)
     return est, vy, vyx, sumsq / count, count
 
 
-def _rollout_chunk(ndt, spec, batch, seq_len, seed, k, fb_norm_decay):
-    """Channel inputs and outputs of chunk ``k`` of an evaluation."""
+def _rollout_chunks(state, ndt, spec, seq_len, seed, fb_norm_decay, chunks):
+    """Channel inputs and outputs of the evaluation chunks ``(k, sequences)``,
+    kept in ``state``; returns per chunk the sum of x² and the range of y."""
     rng = Rng(seed)
-    ro = rollout(ndt, spec, batch, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
-                 rng.stream(f"eval/{k}/channel"), need_cache=False,
-                 fb_norm_decay=fb_norm_decay)
-    return ro.x, ro.y
+    state["rollouts"] = []
+    for k, n_seq in chunks:
+        ro = rollout(ndt, spec, n_seq, seq_len,
+                     rng.stream(f"eval/{k}/ndt-noise"),
+                     rng.stream(f"eval/{k}/channel"), need_cache=False,
+                     fb_norm_decay=fb_norm_decay)
+        state["rollouts"].append((k, ro.x, ro.y))
+    return [(float(np.sum(x * x)), np.stack([y.min((0, 1)), y.max((0, 1))]))
+            for _, x, y in state["rollouts"]]
+
+
+def _eval_rollouts(state, dine, box, seed, chunks):
+    """``_eval_chunks`` on the rollouts that ``_rollout_chunks`` kept for
+    the same block of ``chunks``."""
+    return _eval_chunks(state, dine, box, seed, state.pop("rollouts"))
 
 
 def estimate_capacity(spec, config):
@@ -166,26 +185,30 @@ def estimate_capacity(spec, config):
     failed = False
     reason = ""
     try:
-        with potential_helper(dine.pot_y, adam_y) as helper:
-            for _ in range(config.warmup):
-                ro = fresh(False)
-                dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx, helper)
-            for it in range(config.budget):
-                for _ in range(config.dine_steps_per_ndt):
+        # one set of helper processes serves the training and the evaluation
+        with helpers():
+            with potential_helper(dine.pot_y, adam_y) as helper:
+                for _ in range(config.warmup):
                     ro = fresh(False)
-                    vy, vyx = dine.train_step(ro.x, ro.y, ref_gen, adam_y,
-                                              adam_yx, helper)
-                ro = fresh(True)
-                box = dine.fit_box(ro.y)
-                y_ref = box.sample(ref_gen, B, T)
-                obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref, helper)
-                adam_ndt.zero_grads()
-                ro.backward(dx, dy)
-                adam_ndt.step()
-                curve.append((it, vy, vyx, obj, ro.realized_power))
-        est, vy, vyx, realized, count = monte_carlo_eval(
-            dine, ndt, spec, config.eval_samples, config.seed + 1,
-            config.eval_seq_len, config.eval_batch, decay)
+                    dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx,
+                                    helper)
+                for it in range(config.budget):
+                    for _ in range(config.dine_steps_per_ndt):
+                        ro = fresh(False)
+                        vy, vyx = dine.train_step(ro.x, ro.y, ref_gen,
+                                                  adam_y, adam_yx, helper)
+                    ro = fresh(True)
+                    box = dine.fit_box(ro.y)
+                    y_ref = box.sample(ref_gen, B, T)
+                    obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref,
+                                                       helper)
+                    adam_ndt.zero_grads()
+                    ro.backward(dx, dy)
+                    adam_ndt.step()
+                    curve.append((it, vy, vyx, obj, ro.realized_power))
+            est, vy, vyx, realized, count = monte_carlo_eval(
+                dine, ndt, spec, config.eval_samples, config.seed + 1,
+                config.eval_seq_len, config.eval_batch, decay)
     except GradientError as err:
         failed = True
         reason = str(err)

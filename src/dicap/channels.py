@@ -24,6 +24,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown channel family {self.family!r}")
+        if not (np.isfinite(self.sigma2) and np.isfinite(self.alpha)):
+            raise ValueError("sigma2 and alpha must be finite")
         if self.sigma2 <= 0:
             raise ValueError("noise variance must be positive")
         if self.family == "ma1" and self.sigma2 != 1.0:

@@ -6,6 +6,7 @@ codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -17,7 +18,7 @@ from .capest import LN2, TrainConfig, estimate_capacity
 from .channels import ChannelSpec
 from .data import (TrajectoryFormatError, read_trajectory_csv,
                    window_batches, write_curve_csv)
-from .dine import TrainingDiverged, dine_estimate, dine_train
+from .dine import dine_estimate, dine_train, helpers
 from .gradcheck import COMPONENTS, run_suite
 from .nn import Rng
 
@@ -62,6 +63,8 @@ def main():
 @click.option("--sigma2", type=float, default=1.0, show_default=True)
 def cmd_baseline(family, alpha, power, sigma2):
     """Print the analytic capacity baselines for a channel as JSON."""
+    if not all(map(math.isfinite, (alpha, power, sigma2))):
+        raise click.UsageError("--alpha, --power and --sigma2 must be finite")
     out = {"family": family, "params": {"alpha": alpha, "power": power,
                                         "sigma2": sigma2}}
     try:
@@ -200,18 +203,20 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
         source = window_batches(
             x, y, batch_size, seq_len,
             gen=rng.stream("window-starts") if random_starts else None)
-        model, curve = dine_train(
-            source, x.shape[1], y.shape[1], hidden=hidden, head_hidden=hidden,
-            lr=lr, iters=iters, rng=rng)
-    except (TrainingDiverged, ValueError) as err:
+        # one set of helper processes serves the training and the evaluation
+        with helpers():
+            model, curve = dine_train(
+                source, x.shape[1], y.shape[1], hidden=hidden,
+                head_hidden=hidden, lr=lr, iters=iters, rng=rng)
+            # evaluate on the whole file, cut into long sequences
+            t_eval = min(2048, x.shape[0])
+            n_seq = x.shape[0] // t_eval
+            ex = x[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
+            ey = y[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
+            result = dine_estimate(model, ex, ey, seed=seed + 1)
+    except (ValueError, RuntimeError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
-    # evaluate on the whole file, cut into long sequences
-    t_eval = min(2048, x.shape[0])
-    n_seq = x.shape[0] // t_eval
-    ex = x[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
-    ey = y[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
-    result = dine_estimate(model, ex, ey, seed=seed + 1)
     result["estimate_bits"] = result["estimate_nats"] / LN2
     d = _out_dir(out_dir)
     stem = os.path.splitext(os.path.basename(csv_path))[0]

@@ -8,8 +8,8 @@ state; the reference branch never feeds back into the recursion. The DI-rate
 estimate is the difference of the two optimized DV objectives.
 """
 
-import collections
 import contextlib
+import contextvars
 import os
 import pickle
 import sys
@@ -254,7 +254,7 @@ class DineModel:
         if helper is None:
             out_y = potential_step(self.pot_y, adam_y, y, y_ref)
             return out_y, potential_step(self.pot_yx, adam_yx, *joint)
-        helper.send(y, y_ref, train=adam_yx is not None)
+        helper.send(_step_potential, y, y_ref, adam_yx is not None)
         try:
             out_yx = potential_step(self.pot_yx, adam_yx, *joint)
         except GradientError:
@@ -267,29 +267,38 @@ class DineModel:
 
         Pools all B*T per-step potentials. Chunk k holds ``batch`` sequences
         and draws its reference samples from its own stream
-        ``Rng(seed).stream(f"eval/{k}/reference")``; chunks run on
-        ``map_chunks`` and return only DV terms, combined in chunk order, so
+        ``Rng(seed).stream(f"eval/{k}/reference")``; chunks run in blocks on
+        ``run_blocks`` and return only DV terms, combined in chunk order, so
         the result does not depend on the worker count. Returns
         (estimate, d_y, d_yx).
         """
         if box is None:
             box = self.fit_box(y)
-        jobs = [(self, x[s:s + batch], y[s:s + batch], box, seed, k)
-                for k, s in enumerate(range(0, y.shape[0], batch))]
-        terms = list(map_chunks(_eval_chunk, jobs))
-        vy = dv_combine([ty for ty, _ in terms])
-        vyx = dv_combine([tyx for _, tyx in terms])
-        return vyx - vy, vy, vyx
+        chunks = [(k, x[s:s + batch], y[s:s + batch])
+                  for k, s in enumerate(range(0, y.shape[0], batch))]
+        return pooled_estimate({}, _eval_chunks, chunks, self, box, seed)
 
 
-def _eval_chunk(model, x, y, box, seed, k):
-    """DV terms of both potentials on chunk ``k`` of an evaluation."""
-    B, T, _ = y.shape
-    y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
-    ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
-    tyx, trx, _ = model.pot_yx.forward(
-        model.joint(y, x), model.joint(y_ref, x), need_cache=False)
-    return dv_terms(ty, tr), dv_terms(tyx, trx)
+def _eval_chunks(state, model, box, seed, chunks):
+    """DV terms of both potentials on each evaluation chunk ``(k, x, y)``."""
+    terms = []
+    for k, x, y in chunks:
+        B, T, _ = y.shape
+        y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
+        ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
+        tyx, trx, _ = model.pot_yx.forward(
+            model.joint(y, x), model.joint(y_ref, x), need_cache=False)
+        terms.append((dv_terms(ty, tr), dv_terms(tyx, trx)))
+    return terms
+
+
+def pooled_estimate(state, fn, chunks, *args):
+    """(estimate, d_y, d_yx) from the per-chunk DV terms of
+    ``run_blocks(state, fn, chunks, *args)``, combined in chunk order."""
+    terms = run_blocks(state, fn, chunks, *args)
+    vy = dv_combine([ty for ty, _ in terms])
+    vyx = dv_combine([tyx for _, tyx in terms])
+    return vyx - vy, vy, vyx
 
 
 def usable_cpus():
@@ -298,35 +307,6 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:      # platforms without CPU affinity
         return os.cpu_count() or 1
-
-
-def map_chunks(fn, jobs):
-    """Yield ``fn(*job)`` for each job, in job order, computed on
-    min(usable CPUs, jobs) processes.
-
-    ``fn`` must be a module-level function. Workers are forked, so a calling
-    script needs no ``__main__`` guard and the worker processes import
-    nothing. Where there is one CPU or one job, or no ``fork``, the jobs run
-    in this process. An exception raised by a job is raised here.
-    """
-    jobs = list(jobs)
-    workers = min(usable_cpus(), len(jobs))
-    # imported here: they would add about 20 ms to every ``import dicap``
-    import multiprocessing
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        for job in jobs:
-            yield fn(*job)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        # popped once read, so a result is freed when the caller drops it
-        futures = collections.deque(pool.submit(fn, *job) for job in jobs)
-        while futures:
-            yield futures.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # the directory holding this dicap package, put first on the helper's path
@@ -350,57 +330,37 @@ def _read_frame(fh):
 
 
 class _Helper:
-    """A child process that owns a copy of one potential and its Adam and
-    runs ``potential_step`` on the batches it is sent.
+    """A fresh interpreter, started with ``subprocess`` and BLAS pinned to
+    one thread. For each pickle frame ``(fn, args)`` on its stdin it runs
+    ``fn(state, *args)`` with a ``state`` dict that lives as long as the
+    process, and writes one reply frame to its stdout. ``fn`` is a
+    module-level function, which pickle sends by name. The helper exits
+    when its stdin closes."""
 
-    The process is started from a fresh interpreter, not forked, with BLAS
-    pinned to one thread; requests and replies are length-prefixed pickle
-    frames on its stdin and stdout. It exits when its stdin closes.
-    """
-
-    def __init__(self, pot, adam):
+    def __init__(self):
         # imported here: it would add to every ``import dicap``
         import subprocess
-        self.pot, self.adam = pot, adam
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
         self.proc = subprocess.Popen(
             [sys.executable, "-c", _HELPER_MAIN, _PACKAGE_ROOT],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-        try:
-            _write_frame(self.proc.stdin, (pot, adam))
-        except BaseException:
-            self.stop(kill=True)
-            raise
 
-    def send(self, true_in, ref_in, train):
-        _write_frame(self.proc.stdin, (true_in, ref_in, train))
+    def send(self, fn, *args):
+        _write_frame(self.proc.stdin, (fn, args))
 
     def receive(self):
-        """The reply to the last ``send``; re-raises the helper's
-        GradientError. Any other error ends the helper, with its traceback
-        on the shared stderr."""
+        """The reply to the oldest unanswered ``send``; re-raises the
+        helper's GradientError. Any other error ends the helper, with its
+        traceback on the shared stderr."""
         try:
             ok, out = _read_frame(self.proc.stdout)
         except EOFError:
-            raise RuntimeError(f"potential helper exited with code "
+            raise RuntimeError(f"helper process exited with code "
                                f"{self.proc.wait()}") from None
         if not ok:
             raise out
         return out
-
-    def finish(self):
-        """Copy the helper's potential and Adam state back, then stop it."""
-        _write_frame(self.proc.stdin, None)
-        pot, adam = self.receive()
-        for mine, theirs in zip(self.pot.params(), pot.params()):
-            mine.value[...] = theirs.value
-            mine.grad[...] = theirs.grad
-        for name in self.adam.m:
-            self.adam.m[name][...] = adam.m[name]
-            self.adam.v[name][...] = adam.v[name]
-        self.adam.t = adam.t
-        self.stop()
 
     def stop(self, kill=False):
         """Kill the helper, or close its stdin so that it exits; wait for it."""
@@ -420,47 +380,107 @@ def _serve():
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)           # stray output goes to stderr, not into a frame
-    pot, adam = _read_frame(requests)
+    state = {}
     while True:
         try:
-            req = _read_frame(requests)
+            fn, args = _read_frame(requests)
         except EOFError:
             return
-        if req is None:
-            _write_frame(replies, (True, (pot, adam)))
-            continue
-        true_in, ref_in, train = req
         try:
-            reply = (True, potential_step(pot, adam if train else None,
-                                          true_in, ref_in))
+            reply = (True, fn(state, *args))
         except GradientError as err:
             reply = (False, err)
         _write_frame(replies, reply)
 
 
+# the helpers of the outermost open ``helpers`` block of this thread
+_POOL = contextvars.ContextVar("dicap_helpers", default=None)
+
+
+@contextlib.contextmanager
+def helpers():
+    """Yield ``usable_cpus() - 1`` helper processes, started for the block
+    and stopped at its end, or killed if it raises. An inner block reuses
+    the helpers of the enclosing one. They are fresh interpreters, so a
+    calling script needs no ``__main__`` guard."""
+    pool = _POOL.get()
+    if pool is not None:
+        yield pool
+        return
+    pool, kill = [], True
+    token = _POOL.set(pool)
+    try:
+        for _ in range(usable_cpus() - 1):
+            pool.append(_Helper())
+        yield pool
+        kill = False
+    finally:
+        for helper in pool:
+            helper.stop(kill)
+        _POOL.reset(token)
+
+
+def run_blocks(state, fn, items, *args):
+    """Cut ``items`` into contiguous blocks, one per process of ``helpers``,
+    and run ``fn(state, *args, block)`` on all at once: the first block here
+    with ``state``, the others in the helpers with their own state. Returns
+    the result lists joined in block order. The earliest block's error is
+    raised, as in a serial run; it leaves replies unread, so it must end
+    the outermost ``helpers`` block, which kills the helpers."""
+    with helpers() as pool:
+        n = len(pool) + 1
+        cuts = [-(-len(items) * j // n) for j in range(n + 1)]
+        for helper, a, b in zip(pool, cuts[1:], cuts[2:]):
+            helper.send(fn, *args, items[a:b])
+        out = fn(state, *args, items[:cuts[1]])
+        for helper in pool:
+            out += helper.receive()
+        return out
+
+
+def _swap_potential(state, potential):
+    """Keep ``potential``, a (DinePotential, Adam) pair or None, in
+    ``state``; return the one kept before."""
+    old = state.get("potential")
+    state["potential"] = potential
+    return old
+
+
+def _step_potential(state, true_in, ref_in, train):
+    pot, adam = state["potential"]
+    return potential_step(pot, adam if train else None, true_in, ref_in)
+
+
 @contextlib.contextmanager
 def potential_helper(pot, adam):
-    """Step ``pot`` and ``adam`` in a helper process inside the block.
+    """Step ``pot`` and ``adam`` in the first process of ``helpers`` inside
+    the block.
 
     Yields the handle that ``DineModel.train_step`` and ``input_gradients``
     take, or None where fewer than two CPUs are usable (both potentials
     then step in this process). On a normal exit the helper's parameters
     and Adam state are copied back into ``pot`` and ``adam``; on an
-    exception the helper is killed and ``pot`` keeps its state from before
-    the block. The potential's arithmetic is the same in either process,
-    so results do not depend on the CPU count. The helper is a fresh
-    interpreter, so a calling script needs no ``__main__`` guard.
+    exception the helpers are killed and ``pot`` keeps its state from
+    before the block. The potential's arithmetic is the same in either
+    process, so results do not depend on the CPU count.
     """
-    if usable_cpus() < 2:
-        yield None
-        return
-    helper = _Helper(pot, adam)
-    try:
+    with helpers() as pool:
+        if not pool:
+            yield None
+            return
+        helper = pool[0]
+        helper.send(_swap_potential, (pot, adam))
+        helper.receive()
         yield helper
-    except BaseException:
-        helper.stop(kill=True)
-        raise
-    helper.finish()
+        helper.send(_swap_potential, None)
+        theirs, their_adam = helper.receive()
+        for mine, p in zip(pot.params(), theirs.params()):
+            mine.value[...] = p.value
+            mine.grad[...] = p.grad
+        for name in adam.m:
+            adam.m[name][...] = their_adam.m[name]
+            adam.v[name][...] = their_adam.v[name]
+        adam.t = their_adam.t
 
 
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,

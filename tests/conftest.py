@@ -2,7 +2,7 @@
 
 BLAS is pinned to one thread before any test module imports numpy, as in CI
 and the benchmark: unpinned, OpenBLAS threads take the second core that the
-training helper process and the evaluation workers use. A variable that is
+helper processes of training and evaluation use. A variable that is
 already set is left as it is.
 """
 

@@ -17,12 +17,13 @@ TINY = dict(batch_size=4, seq_len=8, budget=6, warmup=3, dine_steps_per_ndt=2,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(eval_samples=1000).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(fb_norm_decay=1.0).validate()
+    bad = [dict(batch_size=0), dict(eval_samples=1000),
+           dict(fb_norm_decay=1.0), dict(power=np.nan), dict(dine_lr=np.inf),
+           dict(ndt_lr=np.nan), dict(ref_margin=np.inf),
+           dict(clip_norm=np.nan), dict(fb_norm_decay=np.nan)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs).validate()
     TrainConfig().validate()
 
 
@@ -78,15 +79,18 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
     model = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
     ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=feedback,
                    gen=rng.stream("ndt"))
-    results = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
-        # 50 sequences in chunks of 7: the last chunk holds one
-        results.append(monte_carlo_eval(
-            model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
-            seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
-    assert results[0] == results[1]
-    assert results[0][4] == 50 * 99
+    # 50 sequences in chunks of 7: the last chunk holds one; 5 sequences
+    # make one chunk, so the helpers' blocks are empty
+    for cpus, samples, n_seq in ((2, 4950, 50), (3, 4950, 50), (2, 495, 5),
+                                 (3, 495, 5)):
+        results = []
+        for workers in (1, cpus):
+            monkeypatch.setattr(dine, "usable_cpus", lambda: workers)
+            results.append(monte_carlo_eval(
+                model, ndt, ChannelSpec("ma1", alpha=0.5), samples, seed=13,
+                seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
+        assert results[0] == results[1]
+        assert results[0][4] == n_seq * 99
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

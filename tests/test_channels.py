@@ -13,6 +13,13 @@ def test_spec_validation():
         ChannelSpec("awgn", sigma2=0.0)
     with pytest.raises(ValueError):
         ChannelSpec("ma1", sigma2=2.0)
+    for kwargs in (dict(alpha=np.nan), dict(alpha=np.inf),
+                   dict(alpha=-np.inf)):
+        with pytest.raises(ValueError):
+            ChannelSpec("ma1", **kwargs)
+    for sigma2 in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ChannelSpec("awgn", sigma2=sigma2)
 
 
 def test_ma1_alpha_zero_matches_awgn_bit_exact():

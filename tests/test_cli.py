@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dicap import cli, dine
 from dicap.cli import main
 from dicap.channels import ChannelSpec, draw_noise
 from dicap.data import read_curve_csv, write_trajectory_csv
@@ -38,6 +39,17 @@ def test_baseline_ma1_json(runner):
 def test_baseline_missing_power_is_usage_error(runner):
     res = runner.invoke(main, ["baseline", "--family", "awgn"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--power", "--sigma2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_baseline_non_finite_params_are_usage_errors(runner, option, value):
+    args = {"--alpha": "0.5", "--power": "1", "--sigma2": "1"}
+    args[option] = value
+    res = runner.invoke(main, ["baseline", "--family", "ma1"]
+                        + [item for pair in args.items() for item in pair])
+    assert res.exit_code == 2
+    assert "must be finite" in res.output
 
 
 def test_baseline_invalid_params_exit_one(runner):
@@ -127,19 +139,61 @@ def test_di_estimate_too_short_file(runner, tmp_path):
     assert "rows" in res.output
 
 
-def test_di_estimate_tiny_run(runner, tmp_path):
+def _tiny_trajectory(tmp_path):
     gen = Rng(5).stream("file")
     x = gen.standard_normal((1024, 1))
     y = x + gen.standard_normal((1024, 1))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, x, y)
-    res = runner.invoke(main, [
+    return path
+
+
+def _tiny_di_estimate(runner, path, out_dir):
+    return runner.invoke(main, [
         "di-estimate", str(path), "--batch-size", "8", "--seq-len", "16",
-        "--iters", "10", "--hidden", "8", "--out-dir", str(tmp_path)])
+        "--iters", "10", "--hidden", "8", "--out-dir", str(out_dir)])
+
+
+def test_di_estimate_tiny_run(runner, tmp_path):
+    res = _tiny_di_estimate(runner, _tiny_trajectory(tmp_path), tmp_path)
     assert res.exit_code == 0, res.output
     summary = json.loads((tmp_path / "dine_summary_traj.json").read_text())
     assert "estimate_nats" in summary and "estimate_bits" in summary
     assert (tmp_path / "dine_curve_traj.csv").exists()
+
+
+def test_di_estimate_one_helper_for_training_and_evaluation(
+        runner, tmp_path, monkeypatch, started_helpers):
+    path = _tiny_trajectory(tmp_path)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        res = _tiny_di_estimate(runner, path, out_dir)
+        assert res.exit_code == 0, res.output
+        assert len(started_helpers) == cpus - 1
+        outputs.append([(out_dir / name).read_bytes() for name in (
+            "dine_summary_traj.json", "dine_curve_traj.csv")])
+    assert outputs[0] == outputs[1]
+    assert started_helpers[0].poll() is not None
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_di_estimate_evaluation_failure_is_an_error(
+        runner, tmp_path, monkeypatch, started_helpers, cpus):
+    estimate = cli.dine_estimate
+
+    def poisoned(model, *args, **kwargs):
+        model.pot_yx.head2.b.value[:] = np.nan
+        return estimate(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "dine_estimate", poisoned)
+    monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+    res = _tiny_di_estimate(runner, _tiny_trajectory(tmp_path), tmp_path)
+    assert res.exit_code == 1
+    assert "error: non-finite DV potential values" in res.output
+    assert len(started_helpers) == cpus - 1
+    assert all(helper.poll() is not None for helper in started_helpers)
 
 
 def test_sweep_single_power_matches_capacity(runner, tmp_path):

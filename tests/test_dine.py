@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,12 +213,35 @@ def test_dine_estimate_same_for_one_and_two_workers(monkeypatch):
     gen = np.random.default_rng(18)
     x = gen.standard_normal((70, 30, 1))
     y = x + gen.standard_normal((70, 30, 1))
-    results = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
-        # 70 sequences in chunks of 32: the last chunk is short
-        results.append(dine_estimate(model, x, y, seed=19))
-    assert results[0] == results[1]
+    # 70 sequences in chunks of 32: the last chunk is short; 20 sequences
+    # make one chunk, so the helpers' blocks are empty
+    for cpus, n_seq in ((2, 70), (3, 70), (2, 20), (3, 20)):
+        results = []
+        for workers in (1, cpus):
+            monkeypatch.setattr(dine, "usable_cpus", lambda: workers)
+            results.append(dine_estimate(model, x[:n_seq], y[:n_seq],
+                                         seed=19))
+        assert results[0] == results[1]
+
+
+def test_evaluation_imports_no_process_pool():
+    # the evaluation runs on the helper processes that training uses
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dicap import dine\n"
+        "from dicap.nn import Rng\n"
+        "dine.usable_cpus = lambda: 2\n"
+        "x = np.random.default_rng(0).standard_normal((70, 30, 1))\n"
+        "model = dine.DineModel(1, 1, hidden=5, head_hidden=4, rng=Rng(0))\n"
+        "dine.dine_estimate(model, x, x, seed=1)\n"
+        "pools = {'multiprocessing', 'concurrent.futures'}\n"
+        "print(sorted(pools & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dine.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_dine_train_curve_and_determinism():
