@@ -15,8 +15,8 @@ from . import baselines
 from .channels import rollout
 # dv_value is no longer called here; it stays importable as capest.dv_value
 # because tracers that wrap it look it up at every name it was imported by
-from .dine import (DineModel, _eval_chunks, dv_value,  # noqa: F401
-                   helpers, pooled_estimate, potential_helper, run_blocks)
+from .dine import (DineModel, dv_value, evaluate_chunks,  # noqa: F401
+                   helpers, potential_helper)
 from .nn import Adam, GradientError, Rng
 from .ndt import NdtModel
 
@@ -110,50 +110,27 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048, batch=32,
 
     Chunk k is ``batch`` sequences generated from its own streams
     ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and ``.../channel``; power
-    normalization applies per chunk. Chunks run in blocks on ``run_blocks``:
-    each process keeps the rollouts of its block and scores them as
-    ``dine.evaluate`` does (reference stream ``eval/{k}/reference``), so
-    only per-chunk sums, output ranges and DV terms come back. They are
-    combined in chunk order, so the result does not depend on the worker
-    count. Returns (estimate, d_y, d_yx, realized_power, actual sample count).
+    normalization applies per chunk. ``evaluate_chunks`` scores each chunk
+    in the process that generated it. Returns (estimate, d_y, d_yx,
+    realized_power, actual sample count).
     """
     n_seq = -(-samples // seq_len)
     chunks = [(k, min(batch, n_seq - s))
               for k, s in enumerate(range(0, n_seq, batch))]
-    mine = {}
-    with helpers():
-        stats = run_blocks(mine, _rollout_chunks, chunks, ndt, spec, seq_len,
-                           seed, fb_norm_decay)
-        # the box of all outputs is the box of the chunks' output ranges
-        box = dine.fit_box(np.concatenate([y_range for _, y_range in stats]))
-        est, vy, vyx = pooled_estimate(mine, _eval_rollouts, chunks, dine,
-                                       box, seed)
-    sumsq = 0.0
-    for chunk_sumsq, _ in stats:
-        sumsq += chunk_sumsq
+    est, vy, vyx, sumsq = evaluate_chunks(dine, seed, _rollout_chunk, chunks,
+                                          ndt, spec, seq_len, seed,
+                                          fb_norm_decay)
     count = n_seq * seq_len
     return est, vy, vyx, sumsq / count, count
 
 
-def _rollout_chunks(state, ndt, spec, seq_len, seed, fb_norm_decay, chunks):
-    """Channel inputs and outputs of the evaluation chunks ``(k, sequences)``,
-    kept in ``state``; returns per chunk the sum of x² and the range of y."""
+def _rollout_chunk(ndt, spec, seq_len, seed, fb_norm_decay, k, n_seq):
+    """Channel inputs and outputs of the n_seq sequences of chunk k."""
     rng = Rng(seed)
-    state["rollouts"] = []
-    for k, n_seq in chunks:
-        ro = rollout(ndt, spec, n_seq, seq_len,
-                     rng.stream(f"eval/{k}/ndt-noise"),
-                     rng.stream(f"eval/{k}/channel"), need_cache=False,
-                     fb_norm_decay=fb_norm_decay)
-        state["rollouts"].append((k, ro.x, ro.y))
-    return [(float(np.sum(x * x)), np.stack([y.min((0, 1)), y.max((0, 1))]))
-            for _, x, y in state["rollouts"]]
-
-
-def _eval_rollouts(state, dine, box, seed, chunks):
-    """``_eval_chunks`` on the rollouts that ``_rollout_chunks`` kept for
-    the same block of ``chunks``."""
-    return _eval_chunks(state, dine, box, seed, state.pop("rollouts"))
+    ro = rollout(ndt, spec, n_seq, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
+                 rng.stream(f"eval/{k}/channel"), need_cache=False,
+                 fb_norm_decay=fb_norm_decay)
+    return ro.x, ro.y
 
 
 def estimate_capacity(spec, config):

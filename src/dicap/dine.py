@@ -262,27 +262,56 @@ class DineModel:
             raise
         return helper.receive(), out_yx
 
-    def evaluate(self, x, y, seed, box=None, batch=32):
-        """Monte-Carlo evaluation of both objectives with frozen parameters.
-
-        Pools all B*T per-step potentials. Chunk k holds ``batch`` sequences
-        and draws its reference samples from its own stream
-        ``Rng(seed).stream(f"eval/{k}/reference")``; chunks run in blocks on
-        ``run_blocks`` and return only DV terms, combined in chunk order, so
-        the result does not depend on the worker count. Returns
-        (estimate, d_y, d_yx).
-        """
-        if box is None:
-            box = self.fit_box(y)
-        chunks = [(k, x[s:s + batch], y[s:s + batch])
+    def evaluate(self, x, y, seed, batch=32):
+        """``evaluate_chunks`` on chunks of ``batch`` sequences of x and y;
+        returns (estimate, d_y, d_yx)."""
+        chunks = [(k, (x[s:s + batch], y[s:s + batch]))
                   for k, s in enumerate(range(0, y.shape[0], batch))]
-        return pooled_estimate({}, _eval_chunks, chunks, self, box, seed)
+        return evaluate_chunks(self, seed, _given, chunks)[:3]
 
 
-def _eval_chunks(state, model, box, seed, chunks):
-    """DV terms of both potentials on each evaluation chunk ``(k, x, y)``."""
+def _given(k, xy):
+    return xy
+
+
+def evaluate_chunks(model, seed, load, chunks, *args):
+    """Monte-Carlo evaluation of the frozen potentials of ``model``.
+
+    Chunk k is ``(k, item)``; ``load(*args, k, item) -> (x, y)`` runs in the
+    process that scores the chunk. A first ``run_blocks`` pass loads and
+    keeps the chunks and returns their sums of x² and ranges of y; the box
+    fitted to the ranges is the box of all outputs. A second pass scores
+    the kept chunks, pooling all per-step potentials, with chunk k's
+    reference stream ``Rng(seed).stream(f"eval/{k}/reference")``. DV terms
+    are combined in chunk order, so the result does not depend on the
+    worker count. Returns (estimate, d_y, d_yx, sum of x²).
+    """
+    mine = {}
+    with helpers():
+        stats = run_blocks(mine, _load_chunks, chunks, load, args)
+        box = model.fit_box(np.concatenate([y_range for _, y_range in stats]))
+        terms = run_blocks(mine, _score_chunks, chunks, model, box, seed)
+    vy = dv_combine([ty for ty, _ in terms])
+    vyx = dv_combine([tyx for _, tyx in terms])
+    sumsq = 0.0
+    for chunk_sumsq, _ in stats:    # not sum(): 3.12 compensates float sums
+        sumsq += chunk_sumsq
+    return vyx - vy, vy, vyx, sumsq
+
+
+def _load_chunks(state, load, args, chunks):
+    """Load the chunks ``(k, item)`` of one block and keep them in
+    ``state``; returns per chunk the sum of x² and the range of y."""
+    state["chunks"] = [(k, *load(*args, k, item)) for k, item in chunks]
+    return [(float(np.sum(x * x)), np.stack([y.min((0, 1)), y.max((0, 1))]))
+            for _, x, y in state["chunks"]]
+
+
+def _score_chunks(state, model, box, seed, chunks):
+    """DV terms of both potentials on each chunk that ``_load_chunks`` kept
+    for the same block of ``chunks``."""
     terms = []
-    for k, x, y in chunks:
+    for k, x, y in state.pop("chunks"):
         B, T, _ = y.shape
         y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
         ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
@@ -290,15 +319,6 @@ def _eval_chunks(state, model, box, seed, chunks):
             model.joint(y, x), model.joint(y_ref, x), need_cache=False)
         terms.append((dv_terms(ty, tr), dv_terms(tyx, trx)))
     return terms
-
-
-def pooled_estimate(state, fn, chunks, *args):
-    """(estimate, d_y, d_yx) from the per-chunk DV terms of
-    ``run_blocks(state, fn, chunks, *args)``, combined in chunk order."""
-    terms = run_blocks(state, fn, chunks, *args)
-    vy = dv_combine([ty for ty, _ in terms])
-    vyx = dv_combine([tyx for _, tyx in terms])
-    return vyx - vy, vy, vyx
 
 
 def usable_cpus():
@@ -315,25 +335,11 @@ _HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from dicap.dine import _serve; _serve()")
 
 
-def _write_frame(fh, obj):
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    fh.write(len(data).to_bytes(8, "little"))
-    fh.write(data)
-    fh.flush()
-
-
-def _read_frame(fh):
-    head = fh.read(8)
-    if len(head) < 8:
-        raise EOFError
-    return pickle.loads(fh.read(int.from_bytes(head, "little")))
-
-
 class _Helper:
     """A fresh interpreter, started with ``subprocess`` and BLAS pinned to
-    one thread. For each pickle frame ``(fn, args)`` on its stdin it runs
+    one thread. For each pickle ``(fn, args)`` on its stdin it runs
     ``fn(state, *args)`` with a ``state`` dict that lives as long as the
-    process, and writes one reply frame to its stdout. ``fn`` is a
+    process, and writes one pickled reply to its stdout. ``fn`` is a
     module-level function, which pickle sends by name. The helper exits
     when its stdin closes."""
 
@@ -347,15 +353,16 @@ class _Helper:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
 
     def send(self, fn, *args):
-        _write_frame(self.proc.stdin, (fn, args))
+        pickle.dump((fn, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+        self.proc.stdin.flush()
 
     def receive(self):
         """The reply to the oldest unanswered ``send``; re-raises the
         helper's GradientError. Any other error ends the helper, with its
-        traceback on the shared stderr."""
+        traceback on the shared stderr and may leave a reply cut short."""
         try:
-            ok, out = _read_frame(self.proc.stdout)
-        except EOFError:
+            ok, out = pickle.load(self.proc.stdout)
+        except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(f"helper process exited with code "
                                f"{self.proc.wait()}") from None
         if not ok:
@@ -379,18 +386,19 @@ def _serve():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)           # stray output goes to stderr, not into a frame
+    os.dup2(2, 1)           # stray output goes to stderr, not into a reply
     state = {}
     while True:
         try:
-            fn, args = _read_frame(requests)
+            fn, args = pickle.load(requests)
         except EOFError:
             return
         try:
             reply = (True, fn(state, *args))
         except GradientError as err:
             reply = (False, err)
-        _write_frame(replies, reply)
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 # the helpers of the outermost open ``helpers`` block of this thread

@@ -1,4 +1,6 @@
+import io
 import os
+import pickle
 import subprocess
 import sys
 
@@ -185,15 +187,14 @@ def trained_on_additive_gaussian():
 
 
 def test_reference_volume_shift_cancels_in_difference(
-        trained_on_additive_gaussian):
+        trained_on_additive_gaussian, monkeypatch):
     # widening the reference box rescales both objectives identically in
     # expectation; the difference moves very little
     model, ex, ey = trained_on_additive_gaussian
-    box = model.fit_box(ey)
-    mid, w = 0.5 * (box.lo + box.hi), box.widths
-    doubled = ReferenceBox(mid - w, mid + w)
-    est1, vy1, _ = model.evaluate(ex, ey, 21, box=box)
-    est2, vy2, _ = model.evaluate(ex, ey, 22, box=doubled)
+    est1, vy1, _ = model.evaluate(ex, ey, 21)
+    # a margin of 0.6 on each side gives 2.2 ranges, twice the default 1.1
+    monkeypatch.setattr(model, "ref_margin", 0.6)
+    est2, vy2, _ = model.evaluate(ex, ey, 22)
     assert abs(est1 - est2) < 0.02
     # each objective individually drops by roughly log 2 per dimension
     assert vy1 - vy2 == pytest.approx(-np.log(2.0), abs=0.1)
@@ -346,3 +347,28 @@ def test_training_continues_after_helper_exits(monkeypatch, started_helpers):
     assert runs[1][2] == 8
     assert len(started_helpers) == 1
     assert started_helpers[0].poll() is not None
+
+
+def test_receive_from_killed_helper_raises():
+    helper = dine._Helper()
+    helper.proc.kill()
+    with pytest.raises(RuntimeError, match="helper process exited"):
+        helper.receive()
+    helper.stop()
+    assert helper.proc.poll() is not None
+
+
+def test_truncated_reply_raises():
+    # a helper that dies while writing its reply leaves a cut pickle
+    reply = pickle.dumps((True, np.arange(1000.0)), pickle.HIGHEST_PROTOCOL)
+
+    class Exited:
+        stdout = io.BytesIO(reply[:len(reply) // 2])
+
+        def wait(self):
+            return -9
+
+    helper = dine._Helper.__new__(dine._Helper)
+    helper.proc = Exited()
+    with pytest.raises(RuntimeError, match="helper process exited"):
+        helper.receive()
