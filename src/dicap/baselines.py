@@ -42,18 +42,19 @@ class WaterFillSolution:
     water_level: float
     capacity_nats: float
     power_gap: float
-    num_points: int
 
 
-def ma1_ff_capacity(power, alpha, num_points=2 ** 14 + 1, tol=1e-9):
+def ma1_ff_capacity(power, alpha):
     """Feedforward capacity of the MA(1) channel by water-filling.
 
     Allocates input power max(nu - S_Z(w), 0) over the noise spectrum and
     bisects the water level nu until the allocated power matches ``power``.
+    Jensen's formula gives int_0^pi log S_Z = pi log max(1, alpha^2), so only
+    log max(nu, S_Z), finite at the null of |alpha| = 1, needs quadrature.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
-    omega = np.linspace(0.0, np.pi, num_points)
+    omega = np.linspace(0.0, np.pi, 2 ** 14 + 1)
     dx = omega[1] - omega[0]
     sz = ma1_noise_psd(omega, alpha)
 
@@ -61,7 +62,7 @@ def ma1_ff_capacity(power, alpha, num_points=2 ** 14 + 1, tol=1e-9):
         return _simpson(np.maximum(nu - sz, 0.0), dx) / np.pi
 
     if power == 0.0:
-        return WaterFillSolution(float(sz.min()), 0.0, 0.0, num_points)
+        return WaterFillSolution(float(sz.min()), 0.0, 0.0)
     lo = float(sz.min())
     hi = float(sz.max()) + power + 1.0
     while allocated(hi) < power:
@@ -73,11 +74,12 @@ def ma1_ff_capacity(power, alpha, num_points=2 ** 14 + 1, tol=1e-9):
             hi = nu
         else:
             lo = nu
-        if abs(gap) < tol and hi - lo < 1e-12 * max(1.0, hi):
+        if abs(gap) < 1e-9 and hi - lo < 1e-12 * max(1.0, hi):
             break
     nu = 0.5 * (lo + hi)
-    cap = _simpson(np.log(np.maximum(nu, sz) / sz), dx) / (2.0 * np.pi)
-    return WaterFillSolution(nu, cap, allocated(nu) - power, num_points)
+    cap = (_simpson(np.log(np.maximum(nu, sz)), dx) / (2.0 * np.pi)
+           - 0.5 * np.log(max(1.0, alpha * alpha)))
+    return WaterFillSolution(nu, cap, allocated(nu) - power)
 
 
 @dataclass
@@ -92,7 +94,7 @@ def _fb_quartic(x, power, alpha):
     return power * x * x - (1.0 - x * x) * (1.0 - a * x) ** 2
 
 
-def ma1_fb_capacity(power, alpha, tol=1e-12):
+def ma1_fb_capacity(power, alpha):
     """Feedback capacity of the MA(1) channel: -log(x0) for the quartic root.
 
     The quartic form holds for |alpha| <= 1. The noise spectrum for alpha is
@@ -110,7 +112,7 @@ def ma1_fb_capacity(power, alpha, tol=1e-12):
     fhi = _fb_quartic(hi, power, alpha)
     if flo * fhi > 0:
         raise RuntimeError("no sign change in (0,1): quartic form mismatch")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _fb_quartic(mid, power, alpha) * flo <= 0:
             hi = mid
@@ -137,7 +139,8 @@ def fb_baseline_trusted():
             ok = False
             diags.append(f"alpha=0 reduction mismatch at P={p}: {got} vs {want}")
     for p in (0.25, 0.5, 1.0, 2.0, 4.0):
-        for a in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
+        for a in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.5, -1.5,
+                  2.0, -2.0, 3.0, -3.0):
             fb = ma1_fb_capacity(p, a).capacity_nats
             ff = ma1_ff_capacity(p, a).capacity_nats
             if fb < ff - 1e-9:
@@ -178,9 +181,9 @@ def gaussian_di_oracle(power, alpha, n=1024):
     return {"n": n, "rate_nats": rate(n), "rate_nats_2n": rate(2 * n)}
 
 
-def gaussian_di_spectral(power, alpha, num_points=2 ** 16 + 1):
+def gaussian_di_spectral(power, alpha):
     """Spectral cross-check: (1/4pi) int log(1 + power/S_Z(w)) dw."""
-    omega = np.linspace(0.0, np.pi, num_points)
+    omega = np.linspace(0.0, np.pi, 2 ** 16 + 1)
     dx = omega[1] - omega[0]
     integ = np.log1p(power / ma1_noise_psd(omega, alpha))
     return _simpson(integ, dx) / (2.0 * np.pi)

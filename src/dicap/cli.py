@@ -87,10 +87,11 @@ def cmd_baseline(family, alpha, power, sigma2):
                 out["feedback_capacity_nats"] = fb.capacity_nats
                 out["feedback_capacity_bits"] = fb.capacity_nats / LN2
                 out["diagnostics"]["quartic_root"] = fb.root
+        text = json.dumps(out, indent=2, allow_nan=False)
     except (ValueError, RuntimeError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
-    click.echo(json.dumps(out, indent=2))
+    click.echo(text)
 
 
 @main.command("grad-check")

@@ -45,10 +45,10 @@ class ReferenceBox:
         return self.lo + u * self.widths
 
 
-def fit_reference(y, margin=0.05, floor=0.1):
+def fit_reference(y, margin=0.05):
     """Per-dimension min/max of observed y, expanded by margin x range.
 
-    Degenerate dimensions (max == min) are expanded by ``floor`` on each side.
+    Degenerate dimensions (max == min) are expanded by 0.1 on each side.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
@@ -58,7 +58,7 @@ def fit_reference(y, margin=0.05, floor=0.1):
     hi = flat.max(axis=0)
     rng_ = hi - lo
     degenerate = rng_ == 0.0
-    pad = np.where(degenerate, floor, margin * rng_)
+    pad = np.where(degenerate, 0.1, margin * rng_)
     return ReferenceBox(lo - pad, hi + pad)
 
 

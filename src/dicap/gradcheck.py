@@ -21,7 +21,7 @@ def _zero(params):
         p.zero_grad()
 
 
-def check_dense(seed=0, step=1e-5):
+def check_dense(seed=0):
     gen = np.random.default_rng(seed)
     layer = Dense(3, 4, "tanh", gen, name="gc.dense")
     x = gen.standard_normal((5, 3))
@@ -33,12 +33,13 @@ def check_dense(seed=0, step=1e-5):
         layer.backward(cache, w)
         return float(np.sum(out * w))
 
-    return grad_check(loss, layer.params(), step)
+    return grad_check(loss, layer.params())
 
 
-def check_lstm(seed=0, steps=5, step=1e-5):
+def check_lstm(seed=0):
     gen = np.random.default_rng(seed)
     cell = LstmCell(2, 4, gen, name="gc.lstm")
+    steps = 5
     xs = gen.standard_normal((steps, 3, 2))
     w = gen.standard_normal((steps, 3, 4))
 
@@ -59,10 +60,10 @@ def check_lstm(seed=0, steps=5, step=1e-5):
             _, dh, dc = cell.backward_step(caches[i], dh + w[i], dc)
         return total
 
-    return grad_check(loss, cell.params(), step)
+    return grad_check(loss, cell.params())
 
 
-def check_dine(seed=0, step=1e-5):
+def check_dine(seed=0):
     """Modified unroll plus DV objective, parameters and input gradients."""
     gen = np.random.default_rng(seed)
     pot = DinePotential(2, hidden=5, head_hidden=4, gen=gen, name="gc.pot")
@@ -77,7 +78,7 @@ def check_dine(seed=0, step=1e-5):
         pot.backward(caches, dt, dtr)
         return v
 
-    report = dict(grad_check(loss, pot.params(), step))
+    report = dict(grad_check(loss, pot.params()))
 
     # gradient w.r.t. the driving sequences, via a wrapper parameter
     from .nn import ParamBlock
@@ -95,11 +96,11 @@ def check_dine(seed=0, step=1e-5):
         seq_r.grad += d_ref
         return v
 
-    report.update(grad_check(loss_inputs, [seq, seq_r], step))
+    report.update(grad_check(loss_inputs, [seq, seq_r]))
     return report
 
 
-def check_ndt(seed=0, step=1e-5):
+def check_ndt(seed=0):
     """Open-loop generator with batch power normalization."""
     gen = np.random.default_rng(seed)
     ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, power=1.0, feedback=False,
@@ -117,10 +118,10 @@ def check_ndt(seed=0, step=1e-5):
         ro.backward(w, np.zeros_like(w))
         return val
 
-    return grad_check(loss, ndt.params(), step)
+    return grad_check(loss, ndt.params())
 
 
-def check_rollout(seed=0, feedback=True, step=1e-5):
+def check_rollout(seed=0, feedback=True):
     """End-to-end generator objective through channel and frozen estimator."""
     rng = Rng(seed)
     dine = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
@@ -139,7 +140,7 @@ def check_rollout(seed=0, feedback=True, step=1e-5):
         ro.backward(dx, dy)
         return obj
 
-    return grad_check(loss, ndt.params(), step)
+    return grad_check(loss, ndt.params())
 
 
 def suite(component, seed=0):

@@ -62,7 +62,7 @@ def test_waterfilling_power_allocation_integral():
 
 def test_waterfilling_sign_symmetry():
     for p in (0.5, 1.0, 2.0):
-        for a in (0.1, 0.5, 0.9):
+        for a in (0.1, 0.5, 0.9, 1.0):
             pos = bl.ma1_ff_capacity(p, a).capacity_nats
             neg = bl.ma1_ff_capacity(p, -a).capacity_nats
             assert pos == pytest.approx(neg, abs=1e-8)
@@ -76,9 +76,14 @@ def test_fb_alpha_zero_reduces_to_awgn():
 
 
 def test_fb_dominates_ff():
-    fb = bl.ma1_fb_capacity(1.0, 0.5).capacity_nats
-    ff = bl.ma1_ff_capacity(1.0, 0.5).capacity_nats
-    assert fb > ff
+    for a in (0.5, 1.0, -1.0):
+        fb = bl.ma1_fb_capacity(1.0, a).capacity_nats
+        ff = bl.ma1_ff_capacity(1.0, a).capacity_nats
+        assert np.isfinite(ff)
+        assert fb > ff
+    # the spectral null of |alpha| = 1 is integrated in closed form
+    assert bl.ma1_ff_capacity(1.0, 1.0).capacity_nats == pytest.approx(
+        0.5430377587, abs=1e-9)
 
 
 def test_fb_large_alpha_maps_to_equivalent_channel():

@@ -25,7 +25,7 @@ def test_baseline_awgn_json(runner):
 
 
 def test_baseline_ma1_json(runner):
-    for alpha in ("0.5", "2"):
+    for alpha in ("1", "-1", "0.5", "2"):
         res = runner.invoke(main, ["baseline", "--family", "ma1",
                                    "--alpha", alpha, "--power", "1"])
         assert res.exit_code == 0

@@ -30,7 +30,7 @@ def test_fit_reference_margin_arithmetic():
 
 def test_fit_reference_degenerate_dimension():
     y = np.zeros((2, 4, 1))
-    box = fit_reference(y, margin=0.05, floor=0.1)
+    box = fit_reference(y, margin=0.05)
     assert box.lo[0] == pytest.approx(-0.1)
     assert box.hi[0] == pytest.approx(0.1)
 
