@@ -6,6 +6,7 @@ produce the final estimate and report.
 """
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -16,11 +17,13 @@ from .channels import rollout
 # dv_value is no longer called here; it stays importable as capest.dv_value
 # because tracers that wrap it look it up at every name it was imported by
 from .dine import (DineModel, dv_value, evaluate_chunks,  # noqa: F401
-                   helpers, potential_helper)
+                   helpers)
 from .nn import Adam, GradientError, Rng
 from .ndt import NdtModel
 
 LN2 = float(np.log(2.0))
+# the values a TrainConfig field of each annotated type accepts
+_KINDS = {int: numbers.Integral, float: numbers.Real, bool: bool}
 
 
 @dataclass
@@ -48,6 +51,11 @@ class TrainConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name == "clip_norm" and value is None:
+                continue        # Adam's "no clipping"
+            if (not isinstance(value, _KINDS[f.type])
+                    or isinstance(value, bool) != (f.type is bool)):
+                raise ValueError(f"{f.name} must be of type {f.type.__name__}")
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         positive = ("batch_size", "seq_len", "dine_lr", "ndt_lr", "budget",
@@ -57,8 +65,10 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.warmup < 0 or self.ref_margin < 0:
-            raise ValueError("warmup and ref_margin must be nonnegative")
+        if self.warmup < 0 or self.ref_margin < 0 or self.seed < 0:
+            raise ValueError("warmup, ref_margin and seed must be nonnegative")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive or None")
         if not 0.0 <= self.fb_norm_decay < 1.0:
             raise ValueError("fb_norm_decay must be in [0, 1)")
         if self.eval_samples < 10 ** 5:
@@ -139,18 +149,14 @@ def estimate_capacity(spec, config):
     start_time = time.perf_counter()
     rng = Rng(config.seed)
     dine = DineModel(1, 1, config.dine_hidden, config.head_hidden,
-                     config.ref_margin, rng=rng)
+                     config.ref_margin, rng=rng, lr=config.dine_lr,
+                     clip_norm=config.clip_norm)
     ndt = NdtModel(1, 1, hidden=config.ndt_hidden,
                    dense_hidden=config.ndt_hidden, power=config.power,
                    feedback=config.feedback, gen=rng.stream("init-ndt"))
-    adam_y = Adam(dine.pot_y.params(), lr=config.dine_lr,
-                  clip_norm=config.clip_norm)
-    adam_yx = Adam(dine.pot_yx.params(), lr=config.dine_lr,
-                   clip_norm=config.clip_norm)
     adam_ndt = Adam(ndt.params(), lr=config.ndt_lr, clip_norm=config.clip_norm)
     noise_gen = rng.stream("ndt-noise")
     chan_gen = rng.stream("channel")
-    ref_gen = rng.stream("dine-reference")
     B, T = config.batch_size, config.seq_len
     decay = config.fb_norm_decay
 
@@ -164,21 +170,17 @@ def estimate_capacity(spec, config):
     try:
         # one set of helper processes serves the training and the evaluation
         with helpers():
-            with potential_helper(dine.pot_y, adam_y) as helper:
+            with dine.training():
                 for _ in range(config.warmup):
                     ro = fresh(False)
-                    dine.train_step(ro.x, ro.y, ref_gen, adam_y, adam_yx,
-                                    helper)
+                    dine.train_step(ro.x, ro.y)
                 for it in range(config.budget):
                     for _ in range(config.dine_steps_per_ndt):
                         ro = fresh(False)
-                        vy, vyx = dine.train_step(ro.x, ro.y, ref_gen,
-                                                  adam_y, adam_yx, helper)
+                        vy, vyx = dine.train_step(ro.x, ro.y)
                     ro = fresh(True)
-                    box = dine.fit_box(ro.y)
-                    y_ref = box.sample(ref_gen, B, T)
-                    obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref,
-                                                       helper)
+                    obj, dx, dy = dine.input_gradients(ro.x, ro.y,
+                                                       dine.reference(ro.y))
                     adam_ndt.zero_grads()
                     ro.backward(dx, dy)
                     adam_ndt.step()

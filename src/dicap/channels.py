@@ -111,7 +111,7 @@ def _open_loop_backward(ndt, caches, dx, dy):
     dh = np.zeros((batch, ndt.cell.hidden))
     dc = np.zeros_like(dh)
     for i in reversed(range(steps)):
-        _, _, dh, dc = ndt.backward_step(step_caches[i], draw[:, i], dh, dc)
+        _, dh, dc = ndt.backward_step(step_caches[i], draw[:, i], dh, dc)
 
 
 def _feedback_forward(ndt, n, z, need_cache, decay):
@@ -160,6 +160,6 @@ def _feedback_backward(ndt, internals, dx, dy):
         dscale = float(np.sum(dxi * raw))
         dm = dscale * (-0.5) * scale / (ms[i] + eps) + decay * dm_carry
         draw = dxi * scale + dm * (1.0 - decay) * 2.0 * raw / raw.size
-        _, dfb_next, dh, dc = ndt.backward_step(caches[i], draw, dh, dc)
+        dfb_next, dh, dc = ndt.backward_step(caches[i], draw, dh, dc)
         dm_carry = dm
     # dm and dfb for step -1 hit constants (m0 = P, y0 = 0)

@@ -196,10 +196,11 @@ def potential_step(pot, adam, true_in, ref_in):
 
 
 class DineModel:
-    """Pair of DV potentials estimating the DI rate from x to y."""
+    """Pair of DV potentials estimating the DI rate from x to y, with the
+    Adam optimizers and the reference stream that train them."""
 
     def __init__(self, x_dim=1, y_dim=1, hidden=64, head_hidden=64,
-                 ref_margin=0.05, rng=None):
+                 ref_margin=0.05, rng=None, lr=1e-4, clip_norm=1.0):
         rng = rng if rng is not None else Rng(0)
         self.x_dim = x_dim
         self.y_dim = y_dim
@@ -209,6 +210,10 @@ class DineModel:
         self.pot_yx = DinePotential(
             y_dim + x_dim, hidden, head_hidden, rng.stream("init-pot-yx"),
             name="pot_yx")
+        self.adam_y = Adam(self.pot_y.params(), lr=lr, clip_norm=clip_norm)
+        self.adam_yx = Adam(self.pot_yx.params(), lr=lr, clip_norm=clip_norm)
+        self.ref_gen = rng.stream("dine-reference")
+        self._helper = None     # set only inside ``training``
 
     def params(self):
         return self.pot_y.params() + self.pot_yx.params()
@@ -216,51 +221,76 @@ class DineModel:
     def fit_box(self, y):
         return fit_reference(y, self.ref_margin)
 
+    def reference(self, y):
+        """Reference samples shaped like ``y``, uniform on its fitted box."""
+        B, T, _ = y.shape
+        return self.fit_box(y).sample(self.ref_gen, B, T)
+
     @staticmethod
     def joint(y, x):
         return np.concatenate([y, x], axis=-1)
 
-    def train_step(self, x, y, ref_gen, adam_y, adam_yx, helper=None):
-        """One ascent step of both potentials on a fresh batch.
+    @contextlib.contextmanager
+    def training(self):
+        """Step pot_y and its Adam in the first process of ``helpers``
+        inside the block, while pot_yx steps here; with fewer than two
+        usable CPUs both step here.
 
-        With ``helper`` from ``potential_helper(self.pot_y, adam_y)``, pot_y
-        and its Adam step in the helper process while pot_yx steps here.
+        On a normal exit the model takes back the helper's pot_y and Adam;
+        on an exception the helpers are killed and pot_y keeps its state
+        from before the block. The potential's arithmetic is the same in
+        either process, so results do not depend on the CPU count.
         """
-        B, T, _ = y.shape
-        y_ref = self.fit_box(y).sample(ref_gen, B, T)
-        (vy, _), (vyx, _) = self._step_pair(x, y, y_ref, helper,
-                                            adam_y, adam_yx)
+        with helpers() as pool:
+            if not pool:
+                yield
+                return
+            pool[0].send(_swap_potential, (self.pot_y, self.adam_y))
+            pool[0].receive()
+            self._helper = pool[0]
+            try:
+                yield
+                pool[0].send(_swap_potential, None)
+                self.pot_y, self.adam_y = pool[0].receive()
+            finally:
+                self._helper = None
+
+    def train_step(self, x, y):
+        """One ascent step of both potentials on a fresh batch."""
+        (vy, _), (vyx, _) = self._step_pair(x, y, self.reference(y), True)
         return vy, vyx
 
-    def input_gradients(self, x, y, y_ref, helper=None):
+    def input_gradients(self, x, y, y_ref):
         """Value and gradients of the DI objective w.r.t. the trajectories.
 
         Objective is D_yx - D_y with potential parameters treated as frozen
         (their accumulated grads are zeroed afterwards). The reference box and
-        reference samples are treated as constants. ``helper`` as in
-        ``train_step``.
+        reference samples are treated as constants.
         """
         (vy, (dy_t, _)), (vyx, (dj_t, dj_r)) = self._step_pair(
-            x, y, y_ref, helper, None, None)
+            x, y, y_ref, False)
         dy = dj_t[..., :self.y_dim] - dy_t
         dx = dj_t[..., self.y_dim:] + dj_r[..., self.y_dim:]
         return vyx - vy, dx, dy
 
-    def _step_pair(self, x, y, y_ref, helper, adam_y, adam_yx):
-        """``potential_step`` of pot_y and of pot_yx; with ``helper``, pot_y's
-        runs there at the same time. A GradientError of pot_y is raised in
-        preference to one of pot_yx, as when pot_y runs first here."""
+    def _step_pair(self, x, y, y_ref, train):
+        """``potential_step`` of pot_y and of pot_yx, with their Adam steps
+        if ``train``; inside ``training`` pot_y's runs in the helper at the
+        same time. A GradientError of pot_y is raised in preference to one
+        of pot_yx, as when pot_y runs first here."""
         joint = (self.joint(y, x), self.joint(y_ref, x))
-        if helper is None:
-            out_y = potential_step(self.pot_y, adam_y, y, y_ref)
+        adam_yx = self.adam_yx if train else None
+        if self._helper is None:
+            out_y = potential_step(self.pot_y, self.adam_y if train else None,
+                                   y, y_ref)
             return out_y, potential_step(self.pot_yx, adam_yx, *joint)
-        helper.send(_step_potential, y, y_ref, adam_yx is not None)
+        self._helper.send(_step_potential, y, y_ref, train)
         try:
             out_yx = potential_step(self.pot_yx, adam_yx, *joint)
         except GradientError:
-            helper.receive()
+            self._helper.receive()
             raise
-        return helper.receive(), out_yx
+        return self._helper.receive(), out_yx
 
     def evaluate(self, x, y, seed, batch=32):
         """``evaluate_chunks`` on chunks of ``batch`` sequences of x and y;
@@ -459,38 +489,6 @@ def _step_potential(state, true_in, ref_in, train):
     return potential_step(pot, adam if train else None, true_in, ref_in)
 
 
-@contextlib.contextmanager
-def potential_helper(pot, adam):
-    """Step ``pot`` and ``adam`` in the first process of ``helpers`` inside
-    the block.
-
-    Yields the handle that ``DineModel.train_step`` and ``input_gradients``
-    take, or None where fewer than two CPUs are usable (both potentials
-    then step in this process). On a normal exit the helper's parameters
-    and Adam state are copied back into ``pot`` and ``adam``; on an
-    exception the helpers are killed and ``pot`` keeps its state from
-    before the block. The potential's arithmetic is the same in either
-    process, so results do not depend on the CPU count.
-    """
-    with helpers() as pool:
-        if not pool:
-            yield None
-            return
-        helper = pool[0]
-        helper.send(_swap_potential, (pot, adam))
-        helper.receive()
-        yield helper
-        helper.send(_swap_potential, None)
-        theirs, their_adam = helper.receive()
-        for mine, p in zip(pot.params(), theirs.params()):
-            mine.value[...] = p.value
-            mine.grad[...] = p.grad
-        for name in adam.m:
-            adam.m[name][...] = their_adam.m[name]
-            adam.v[name][...] = their_adam.v[name]
-        adam.t = their_adam.t
-
-
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
                lr=1e-4, iters=5000, rng=None):
     """Train a DineModel on batches from ``data_source(iteration) -> (x, y)``.
@@ -499,18 +497,13 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
     (iteration, d_y, d_yx, difference). Raises TrainingDiverged if an
     objective or gradient goes non-finite.
     """
-    rng = rng if rng is not None else Rng(0)
-    model = DineModel(x_dim, y_dim, hidden, head_hidden, rng=rng)
-    adam_y = Adam(model.pot_y.params(), lr=lr)
-    adam_yx = Adam(model.pot_yx.params(), lr=lr)
-    ref_gen = rng.stream("dine-reference")
+    model = DineModel(x_dim, y_dim, hidden, head_hidden, rng=rng, lr=lr)
     curve = []
-    with potential_helper(model.pot_y, adam_y) as helper:
+    with model.training():
         for it in range(iters):
             x, y = data_source(it)
             try:
-                vy, vyx = model.train_step(x, y, ref_gen, adam_y, adam_yx,
-                                           helper)
+                vy, vyx = model.train_step(x, y)
             except GradientError as err:
                 raise TrainingDiverged(it, curve) from err
             curve.append((it, vy, vyx, vyx - vy))

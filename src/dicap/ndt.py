@@ -54,14 +54,13 @@ class NdtModel:
         return raw, h2, c2, cache
 
     def backward_step(self, cache, draw, dh_carry, dc_carry):
-        """Reverse one step; returns (dnoise, dfb, dh_prev, dc_prev)."""
+        """Reverse one step; returns (dfb, dh_prev, dc_prev)."""
         lc, d1c, d2c = cache
         dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw))
         dh = dh + dh_carry
         dinp, dh_prev, dc_prev = self.cell.backward_step(lc, dh, dc_carry)
-        dnoise = dinp[:, :self.x_dim]
         dfb = dinp[:, self.x_dim:] if self.feedback else None
-        return dnoise, dfb, dh_prev, dc_prev
+        return dfb, dh_prev, dc_prev
 
 
 def power_normalize(raw, power, eps=1e-12):

@@ -1,12 +1,11 @@
 """End-to-end acceptance checks against analytic baselines.
 
-Each test prints a one-line PASS/FAIL verdict (visible with ``pytest -s``,
-and routed to stderr so it also shows under capture). The training runs are
-shared through module-scoped fixtures; the full suite takes roughly half an
-hour on a single core.
+Each test prints a one-line PASS/FAIL verdict, visible with ``pytest -s``
+(pytest's capture holds it otherwise). The training runs are shared through
+module-scoped fixtures; the full suite takes roughly half an hour on a single
+core.
 """
 
-import sys
 import time
 
 import numpy as np
@@ -28,7 +27,6 @@ pytestmark = pytest.mark.acceptance
 def verdict(criterion, ok, detail):
     line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
-    print(line, file=sys.__stderr__, flush=True)
     assert ok, detail
 
 

@@ -20,11 +20,15 @@ def test_config_validation():
     bad = [dict(batch_size=0), dict(eval_samples=1000),
            dict(fb_norm_decay=1.0), dict(power=np.nan), dict(dine_lr=np.inf),
            dict(ndt_lr=np.nan), dict(ref_margin=np.inf),
-           dict(clip_norm=np.nan), dict(fb_norm_decay=np.nan)]
+           dict(clip_norm=np.nan), dict(fb_norm_decay=np.nan),
+           dict(clip_norm=-1.0), dict(clip_norm=0.0), dict(budget=2.5),
+           dict(batch_size=True), dict(dine_lr=None), dict(power="1"),
+           dict(feedback=1), dict(seed=-1)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs).validate()
     TrainConfig().validate()
+    TrainConfig(clip_norm=None, power=2, feedback=True).validate()
 
 
 def test_report_bookkeeping_identity():

@@ -105,6 +105,21 @@ def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
     assert "unknown config keys" in res.output
 
 
+@pytest.mark.parametrize("bad", [
+    {"clip_norm": -1.0}, {"budget": 2.5}, {"dine_lr": None}, {"seed": -1}])
+def test_capacity_bad_config_value_is_usage_error(runner, tmp_path, bad):
+    # tiny otherwise, so that a config that slips through ends quickly
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        {"budget": 1, "warmup": 0, "batch_size": 4, "seq_len": 8,
+         "eval_samples": 100000, "dine_hidden": 6, "ndt_hidden": 5}, **bad)))
+    res = runner.invoke(main, ["capacity", "--family", "awgn", "--power", "1",
+                               "--config", str(cfg), "--out-dir",
+                               str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output
+
+
 def test_capacity_flag_overrides_config_file(runner, tmp_path):
     # a flag that is given overrides the file; one left out keeps its value
     cfg = tmp_path / "cfg.json"

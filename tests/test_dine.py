@@ -11,7 +11,7 @@ from dicap import dine
 from dicap.dine import (DineModel, DinePotential, ReferenceBox, dine_estimate,
                         dine_train, dv_combine, dv_terms, dv_value,
                         fit_reference)
-from dicap.nn import Adam, GradientError, Rng
+from dicap.nn import GradientError, Rng
 
 
 def test_fit_reference_no_margin():
@@ -329,22 +329,38 @@ def test_training_continues_after_helper_exits(monkeypatch, started_helpers):
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
-        rng = Rng(27)
-        model = DineModel(1, 1, hidden=6, head_hidden=4, rng=rng)
-        adam_y = Adam(model.pot_y.params(), lr=1e-3)
-        adam_yx = Adam(model.pot_yx.params(), lr=1e-3)
-        ref_gen = rng.stream("dine-reference")
+        model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(27), lr=1e-3)
         values = []
-        with dine.potential_helper(model.pot_y, adam_y) as helper:
+        with model.training():
             for x, y in batches[:5]:
-                values.append(model.train_step(x, y, ref_gen, adam_y, adam_yx,
-                                               helper))
+                values.append(model.train_step(x, y))
         for x, y in batches[5:]:
-            values.append(model.train_step(x, y, ref_gen, adam_y, adam_yx))
-        runs.append((values, [p.value for p in model.params()], adam_y.t))
+            values.append(model.train_step(x, y))
+        runs.append((values, [p.value for p in model.params()],
+                     model.adam_y.t))
     assert runs[0][0] == runs[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
     assert runs[1][2] == 8
+    assert len(started_helpers) == 1
+    assert started_helpers[0].poll() is not None
+
+
+def test_model_usable_after_training_raises(monkeypatch, started_helpers):
+    # an error inside the block leaves no helper handle on the model: it
+    # pickles, and it steps on in this process as a 1-CPU run does
+    x, y = _additive_source(28)(0)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(29), lr=1e-3)
+        with pytest.raises(RuntimeError, match="stop"):
+            with model.training():
+                raise RuntimeError("stop")
+        model = pickle.loads(pickle.dumps(model))
+        runs.append((model.train_step(x, y),
+                     [p.value for p in model.params()]))
+    assert runs[0][0] == runs[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
     assert len(started_helpers) == 1
     assert started_helpers[0].poll() is not None
 
