@@ -108,7 +108,7 @@ def _open_loop_backward(ndt, caches, dx, dy):
     step_caches, pcache = caches
     draw = power_normalize_backward(pcache, dx + dy)
     batch, steps, _ = draw.shape
-    dh = np.zeros((batch, ndt.cell.hidden))
+    dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
     for i in reversed(range(steps)):
         _, dh, dc = ndt.backward_step(step_caches[i], draw[:, i], dh, dc)
@@ -146,7 +146,7 @@ def _feedback_forward(ndt, n, z, need_cache, decay):
 def _feedback_backward(ndt, internals, dx, dy):
     caches, raws, scales, ms, decay, eps = internals
     batch, steps, _ = dx.shape
-    dh = np.zeros((batch, ndt.cell.hidden))
+    dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
     dfb_next = None  # gradient of the output fed into the next step
     dm_carry = 0.0

@@ -144,7 +144,7 @@ def _run_capacity(family, alpha, power, feedback, config_path, out_dir, kw):
         raise click.UsageError(str(err))
     report, _, _ = estimate_capacity(spec, cfg)
     tag = (f"{family}_a{alpha:g}_P{power:g}_"
-           f"{'fb' if feedback else 'ff'}_s{cfg.seed}")
+           f"{'fb' if cfg.feedback else 'ff'}_s{cfg.seed}")
     d = _out_dir(out_dir)
     report_path = os.path.join(d, f"capacity_{tag}.json")
     curve_path = os.path.join(d, f"curve_{tag}.csv")
@@ -158,7 +158,8 @@ def _run_capacity(family, alpha, power, feedback, config_path, out_dir, kw):
 @click.option("--family", type=click.Choice(["awgn", "ma1"]), required=True)
 @click.option("--alpha", type=float, default=0.0, show_default=True)
 @click.option("--power", type=float, required=True)
-@click.option("--feedback", is_flag=True, default=False)
+@click.option("--feedback/--no-feedback", default=None,
+              help="Feed the channel output back (default: the config's).")
 @train_options
 def cmd_capacity(family, alpha, power, feedback, config_path, out_dir, **kw):
     """Estimate channel capacity; writes a report JSON and curve CSV."""
@@ -236,12 +237,16 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
 @click.option("--family", type=click.Choice(["awgn", "ma1"]), required=True)
 @click.option("--alpha", type=float, default=0.0, show_default=True)
 @click.option("--power", "powers", type=float, multiple=True, required=True)
-@click.option("--feedback", is_flag=True, default=False)
+@click.option("--feedback/--no-feedback", default=None,
+              help="Feed the channel output back (default: the config's).")
 @train_options
 def cmd_sweep(family, alpha, powers, feedback, config_path, out_dir, **kw):
     """Run one capacity estimate per power; writes a combined CSV."""
     if not powers:
         raise click.UsageError("at least one --power is required")
+    # a --config file may set feedback; the file tag follows the built config
+    feedback = _build_config(
+        config_path, dict(kw, power=powers[0], feedback=feedback)).feedback
     d = _out_dir(out_dir)
     rows = []
     for p in powers:

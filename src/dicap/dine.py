@@ -130,23 +130,22 @@ class DinePotential:
         if true_in.shape != ref_in.shape:
             raise ValueError("true/reference sequence shapes differ")
         B, T, _ = true_in.shape
-        h = np.zeros((2 * B, self.hidden))
-        c = np.zeros((2 * B, self.hidden))
+        h, c = self.cell.zero_state(2 * B)
         t_true = np.empty((B, T))
         t_ref = np.empty((B, T))
         caches = [] if need_cache else None
         for i in range(T):
             x2 = np.concatenate([true_in[:, i], ref_in[:, i]], axis=0)
             h2, c2, lc = self.cell.step(x2, h, c)
-            mid, hc1 = self.head1.forward(h2)
+            mid, hc1 = self.head1.forward(h2.T)
             t2, hc2 = self.head2.forward(mid)
             t_true[:, i] = t2[:B, 0]
             t_ref[:, i] = t2[B:, 0]
             if need_cache:
                 caches.append((lc, hc1, hc2))
             # both branches of the next step restart from the true-path state
-            h = np.concatenate([h2[:B], h2[:B]], axis=0)
-            c = np.concatenate([c2[:B], c2[:B]], axis=0)
+            h = np.concatenate([h2[:, :B], h2[:, :B]], axis=1)
+            c = np.concatenate([c2[:, :B], c2[:, :B]], axis=1)
         return t_true, t_ref, caches
 
     def backward(self, caches, dt_true, dt_ref):
@@ -157,20 +156,20 @@ class DinePotential:
         B, T = dt_true.shape
         d_true = np.empty((B, T, self.in_dim))
         d_ref = np.empty((B, T, self.in_dim))
-        dh_carry = np.zeros((B, self.hidden))
-        dc_carry = np.zeros((B, self.hidden))
+        dh_carry = np.zeros((self.hidden, B))
+        dc_carry = np.zeros((self.hidden, B))
         for i in reversed(range(T)):
             lc, hc1, hc2 = caches[i]
             dt2 = np.concatenate([dt_true[:, i], dt_ref[:, i]])[:, None]
-            dh2 = self.head1.backward(hc1, self.head2.backward(hc2, dt2))
-            dh2[:B] += dh_carry
-            dc2 = np.zeros((2 * B, self.hidden))
-            dc2[:B] = dc_carry
+            dh2 = self.head1.backward(hc1, self.head2.backward(hc2, dt2)).T
+            dh2[:, :B] += dh_carry
+            dc2 = np.zeros((self.hidden, 2 * B))
+            dc2[:, :B] = dc_carry
             dx, dh, dc = self.cell.backward_step(lc, dh2, dc2)
             d_true[:, i] = dx[:B]
             d_ref[:, i] = dx[B:]
-            dh_carry = dh[:B] + dh[B:]
-            dc_carry = dc[:B] + dc[B:]
+            dh_carry = dh[:, :B] + dh[:, B:]
+            dc_carry = dc[:, :B] + dc[:, B:]
         return d_true, d_ref
 
 

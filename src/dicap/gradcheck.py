@@ -53,11 +53,11 @@ def check_lstm(seed=0):
             h, c, cache = cell.step(xs[i], h, c)
             caches.append(cache)
             hs.append(h)
-            total += float(np.sum(h * w[i]))
+            total += float(np.sum(h * w[i].T))
         dh = np.zeros_like(h)
         dc = np.zeros_like(c)
         for i in reversed(range(steps)):
-            _, dh, dc = cell.backward_step(caches[i], dh + w[i], dc)
+            _, dh, dc = cell.backward_step(caches[i], dh + w[i].T, dc)
         return total
 
     return grad_check(loss, cell.params())

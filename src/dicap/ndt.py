@@ -48,7 +48,7 @@ class NdtModel:
                 raise ValueError("feedback input passed to a feedforward model")
             inp = noise
         h2, c2, lc = self.cell.step(inp, h, c)
-        mid, d1c = self.dense1.forward(h2)
+        mid, d1c = self.dense1.forward(h2.T)
         raw, d2c = self.dense2.forward(mid)
         cache = (lc, d1c, d2c) if need_cache else None
         return raw, h2, c2, cache
@@ -56,7 +56,7 @@ class NdtModel:
     def backward_step(self, cache, draw, dh_carry, dc_carry):
         """Reverse one step; returns (dfb, dh_prev, dc_prev)."""
         lc, d1c, d2c = cache
-        dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw))
+        dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw)).T
         dh = dh + dh_carry
         dinp, dh_prev, dc_prev = self.cell.backward_step(lc, dh, dc_carry)
         dfb = dinp[:, self.x_dim:] if self.feedback else None

@@ -38,7 +38,8 @@ class ParamBlock:
 
     def __init__(self, name, value):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        # C order: grad_check perturbs the view that reshape(-1) gives
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
@@ -99,15 +100,14 @@ class Dense:
         return dx.reshape(*dout.shape[:-1], self.in_dim)
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 class LstmCell:
     """Single LSTM cell, stepped manually so unrolls can be customized.
 
-    Gate layout along the last axis is [input, forget, candidate, output].
-    Forget-gate bias starts at 1.0.
+    One weight matrix ``W`` of shape (in_dim + hidden + 1, 4 * hidden) acts on
+    the stacked column [x; h; 1], so its last row is the bias. Gate columns
+    are ordered [input, forget, output, candidate]: the three sigmoid gates
+    form one block. The state h, c is feature-major, (hidden, batch), so each
+    gate is a contiguous block of rows. Forget-gate bias starts at 1.0.
     """
 
     def __init__(self, in_dim, hidden, rng=None, name="lstm"):
@@ -116,58 +116,66 @@ class LstmCell:
         self.in_dim = in_dim
         self.hidden = hidden
         rng = rng if rng is not None else np.random.default_rng(0)
-        fan = in_dim + hidden
-        self.Wx = ParamBlock(f"{name}.Wx", uniform_init(rng, (in_dim, 4 * hidden), fan))
-        self.Wh = ParamBlock(f"{name}.Wh", uniform_init(rng, (hidden, 4 * hidden), fan))
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0
-        self.b = ParamBlock(f"{name}.b", b)
+        H, fan = hidden, in_dim + hidden
+        # drawn as [Wx; Wh] with gates [i, f, g, o], then permuted
+        w = np.vstack([uniform_init(rng, (in_dim, 4 * H), fan),
+                       uniform_init(rng, (H, 4 * H), fan), np.zeros(4 * H)])
+        w[-1, H:2 * H] = 1.0
+        self.W = ParamBlock(f"{name}.W", np.concatenate(
+            [w[:, :2 * H], w[:, 3 * H:], w[:, 2 * H:3 * H]], axis=1))
 
     def params(self):
-        return [self.Wx, self.Wh, self.b]
+        return [self.W]
 
     def zero_state(self, batch):
-        return (np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden)))
+        return (np.zeros((self.hidden, batch)), np.zeros((self.hidden, batch)))
 
     def step(self, x, h, c):
-        """One step on a batch: x (B, in_dim), h/c (B, hidden)."""
+        """One step on a batch: x (B, in_dim), h/c (hidden, B)."""
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"lstm input dim {x.shape[-1]} != expected {self.in_dim}")
-        if h.shape[-1] != self.hidden or c.shape[-1] != self.hidden:
+        if h.shape[0] != self.hidden or c.shape[0] != self.hidden:
             raise ValueError("lstm state dim mismatch")
-        H = self.hidden
-        z = x @ self.Wx.value + h @ self.Wh.value + self.b.value
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
-        g = np.tanh(z[:, 2 * H:3 * H])
-        o = _sigmoid(z[:, 3 * H:])
+        n, H = self.in_dim, self.hidden
+        s = np.empty((n + H + 1, x.shape[0]))
+        s[:n] = x.T
+        s[n:-1] = h
+        s[-1] = 1.0
+        z = self.W.value.T @ s
+        sig = z[:3 * H]
+        np.negative(sig, out=sig)
+        # exp(800) = inf and exp(-800) = 0 give exact 0 and 1 gates
+        with np.errstate(over="ignore", under="ignore"):
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        np.tanh(z[3 * H:], out=z[3 * H:])
+        i, f, o, g = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
         c2 = f * c + i * g
         tc2 = np.tanh(c2)
         h2 = o * tc2
-        cache = (x, h, c, i, f, g, o, tc2)
-        return h2, c2, cache
+        return h2, c2, (s, c, z, tc2)
 
     def backward_step(self, cache, dh2, dc2):
-        """Reverse one step; returns (dx, dh, dc) and accumulates param grads."""
-        x, h, c, i, f, g, o, tc2 = cache
+        """Reverse one step; returns (dx, dh, dc) and accumulates param grads.
+
+        dx is (B, in_dim); dh and dc are (hidden, B)."""
+        s, c, z, tc2 = cache
+        H = self.hidden
+        i, f, o, g = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
         dc_tot = dc2 + dh2 * o * (1.0 - tc2 * tc2)
-        do = dh2 * tc2
-        di = dc_tot * g
-        df = dc_tot * c
-        dg = dc_tot * i
-        dzi = di * i * (1.0 - i)
-        dzf = df * f * (1.0 - f)
-        dzg = dg * (1.0 - g * g)
-        dzo = do * o * (1.0 - o)
-        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-        self.Wx.grad += x.T @ dz
-        self.Wh.grad += h.T @ dz
-        self.b.grad += dz.sum(axis=0)
-        dx = dz @ self.Wx.value.T
-        dh = dz @ self.Wh.value.T
-        dc = dc_tot * f
-        return dx, dh, dc
+        dz = np.empty_like(z)
+        np.multiply(dc_tot, g, out=dz[:H])
+        np.multiply(dc_tot, c, out=dz[H:2 * H])
+        np.multiply(dh2, tc2, out=dz[2 * H:3 * H])
+        sig = z[:3 * H]
+        dz[:3 * H] *= sig * (1.0 - sig)
+        np.multiply(dc_tot, i, out=dz[3 * H:])
+        dz[3 * H:] *= 1.0 - g * g
+        self.W.grad += s @ dz.T
+        dxh = self.W.value[:-1] @ dz
+        return dxh[:self.in_dim].T, dxh[self.in_dim:], dc_tot * f
 
 
 def global_norm(params):

@@ -95,11 +95,11 @@ def test_feedback_with_zeroed_feedback_weights_matches_open_loop():
     ff = NdtModel(1, 1, hidden=5, dense_hidden=4, gen=rng.stream("init"))
     fb = NdtModel(1, 1, hidden=5, dense_hidden=4, feedback=True,
                   gen=rng.stream("other"))
-    # copy shared weights; the feedback model's extra input row is zeroed
-    fb.cell.Wx.value[:1] = ff.cell.Wx.value
-    fb.cell.Wx.value[1:] = 0.0
-    fb.cell.Wh.value[:] = ff.cell.Wh.value
-    fb.cell.b.value[:] = ff.cell.b.value
+    # copy shared weights; the row of W on the fed-back input is zeroed
+    # (W's rows are [noise, fed-back output, h, bias])
+    fb.cell.W.value[:1] = ff.cell.W.value[:1]
+    fb.cell.W.value[1] = 0.0
+    fb.cell.W.value[2:] = ff.cell.W.value[1:]
     for a, b in ((fb.dense1, ff.dense1), (fb.dense2, ff.dense2)):
         a.W.value[:] = b.W.value
         a.b.value[:] = b.b.value

@@ -136,6 +136,22 @@ def test_capacity_flag_overrides_config_file(runner, tmp_path):
     assert len(rep["curve"]) == 2
 
 
+def test_capacity_config_file_sets_feedback(runner, tmp_path):
+    # with neither --feedback nor --no-feedback the file's value holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"feedback": True, "budget": 2, "warmup": 1, "batch_size": 4,
+         "seq_len": 8, "eval_samples": 100000, "dine_hidden": 6,
+         "ndt_hidden": 5}))
+    res = runner.invoke(main, [
+        "capacity", "--family", "ma1", "--alpha", "0.5", "--power", "1",
+        "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(
+        (tmp_path / "capacity_ma1_a0.5_P1_fb_s0.json").read_text())
+    assert rep["config"]["feedback"] is True
+
+
 def test_di_estimate_empty_file(runner, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("")

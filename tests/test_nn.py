@@ -68,15 +68,122 @@ def test_lstm_zero_fixed_point():
 def test_lstm_gate_saturation_preserves_cell():
     # forget gate saturated open, input gate saturated closed: c' ~ c
     cell = LstmCell(1, 3, np.random.default_rng(0))
-    cell.Wx.value[:] = 0.0
-    cell.Wh.value[:] = 0.0
     H = 3
-    cell.b.value[:H] = -50.0        # input gate ~ 0
-    cell.b.value[H:2 * H] = 50.0    # forget gate ~ 1
-    c = np.array([[0.3, -1.2, 0.8]])
-    h = np.zeros((1, 3))
+    cell.W.value[:] = 0.0
+    cell.W.value[-1, :H] = -50.0        # input gate bias: gate ~ 0
+    cell.W.value[-1, H:2 * H] = 50.0    # forget gate bias: gate ~ 1
+    c = np.array([[0.3, -1.2, 0.8]]).T
+    h = np.zeros((3, 1))
     _, c2, _ = cell.step(np.array([[2.0]]), h, c)
     assert np.allclose(c2, c, atol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lstm_extreme_preactivations_give_exact_gates(sign):
+    # bias rows of +-800 drive the sigmoid gates to exactly 0 or 1 without
+    # an overflow or underflow reaching the caller
+    H = 3
+    cell = LstmCell(1, H, np.random.default_rng(0))
+    cell.W.value[:-1] = 0.0
+    cell.W.value[-1, :3 * H] = [-800.0] * H + [800.0] * H + [sign * 800.0] * H
+    cell.W.value[-1, 3 * H:] = [0.5, -0.25, 1.0]
+    c = np.array([[0.3, -1.2, 0.8]]).T
+    with np.errstate(all="raise"):
+        h2, c2, _ = cell.step(np.array([[2.0]]), np.zeros((H, 1)), c)
+    assert np.array_equal(c2, c)                # input gate 0, forget gate 1
+    expect = np.tanh(c) if sign > 0 else np.zeros_like(c)   # output gate 1/0
+    assert np.array_equal(h2, expect)
+    cell.W.value[-1, :2 * H] *= -1.0
+    with np.errstate(all="raise"):
+        _, c2, _ = cell.step(np.array([[2.0]]), np.zeros((H, 1)), c)
+    assert np.array_equal(c2, np.tanh([[0.5], [-0.25], [1.0]]))
+
+
+def _unfused(W, in_dim):
+    """A fused (in_dim + H + 1, 4H) matrix, gates [i, f, o, g], as the
+    textbook Wx, Wh and b with gates [i, f, g, o]."""
+    i, f, o, g = np.split(W, 4, axis=1)
+    w = np.concatenate([i, f, g, o], axis=1)
+    return w[:in_dim], w[in_dim:-1], w[-1]
+
+
+def _tanh_sigmoid(v):
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
+class _ReferenceCell:
+    """Textbook batch-major LSTM: z = x Wx + h Wh + b, gates [i, f, g, o],
+    sigmoid via tanh."""
+
+    def __init__(self, Wx, Wh, b):
+        self.Wx, self.Wh, self.b = Wx, Wh, b
+        self.dWx, self.dWh, self.db = (np.zeros_like(Wx), np.zeros_like(Wh),
+                                       np.zeros_like(b))
+
+    def step(self, x, h, c):
+        H = h.shape[1]
+        z = x @ self.Wx + h @ self.Wh + self.b
+        i, f = _tanh_sigmoid(z[:, :H]), _tanh_sigmoid(z[:, H:2 * H])
+        g, o = np.tanh(z[:, 2 * H:3 * H]), _tanh_sigmoid(z[:, 3 * H:])
+        c2 = f * c + i * g
+        tc2 = np.tanh(c2)
+        return o * tc2, c2, (x, h, c, i, f, g, o, tc2)
+
+    def backward_step(self, cache, dh2, dc2):
+        x, h, c, i, f, g, o, tc2 = cache
+        dc_tot = dc2 + dh2 * o * (1.0 - tc2 * tc2)
+        dz = np.concatenate([dc_tot * g * i * (1.0 - i),
+                             dc_tot * c * f * (1.0 - f),
+                             dc_tot * i * (1.0 - g * g),
+                             dh2 * tc2 * o * (1.0 - o)], axis=1)
+        self.dWx += x.T @ dz
+        self.dWh += h.T @ dz
+        self.db += dz.sum(axis=0)
+        return dz @ self.Wx.T, dz @ self.Wh.T, dc_tot * f
+
+
+def test_lstm_matches_textbook_reference_cell():
+    gen = np.random.default_rng(8)
+    cell = LstmCell(2, 4, gen)
+    ref = _ReferenceCell(*_unfused(cell.W.value, 2))
+    steps, B = 5, 3
+    xs = gen.standard_normal((steps, B, 2))
+    w = gen.standard_normal((steps, B, 4))
+    h, c = cell.zero_state(B)
+    rh, rc = np.zeros((B, 4)), np.zeros((B, 4))
+    caches, rcaches = [], []
+    for t in range(steps):
+        h, c, cache = cell.step(xs[t], h, c)
+        rh, rc, rcache = ref.step(xs[t], rh, rc)
+        caches.append(cache)
+        rcaches.append(rcache)
+        assert np.allclose(h.T, rh, rtol=0, atol=1e-12)
+        assert np.allclose(c.T, rc, rtol=0, atol=1e-12)
+    dh, dc = np.zeros((4, B)), np.zeros((4, B))
+    rdh, rdc = np.zeros((B, 4)), np.zeros((B, 4))
+    for t in reversed(range(steps)):
+        dx, dh, dc = cell.backward_step(caches[t], dh + w[t].T, dc)
+        rdx, rdh, rdc = ref.backward_step(rcaches[t], rdh + w[t], rdc)
+        assert np.allclose(dx, rdx, rtol=1e-9, atol=0)
+    for got, want in zip(_unfused(cell.W.grad, 2), (ref.dWx, ref.dWh, ref.db)):
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_lstm_init_reproduces_separate_draws():
+    # W holds the values that separate Wx, Wh and b drew before the fused
+    # layout, and the generator is left in the same state
+    used = np.random.default_rng(4)
+    cell = LstmCell(2, 3, used)
+    gen = np.random.default_rng(4)
+    k = 1.0 / np.sqrt(5)
+    Wx = gen.uniform(-k, k, size=(2, 12))
+    Wh = gen.uniform(-k, k, size=(3, 12))
+    b = np.zeros(12)
+    b[3:6] = 1.0
+    for got, want in zip(_unfused(cell.W.value, 2), (Wx, Wh, b)):
+        assert np.array_equal(got, want)
+    assert cell.W.value.flags.c_contiguous
+    assert used.uniform() == gen.uniform()
 
 
 def test_lstm_bptt_matches_finite_differences():
@@ -113,6 +220,20 @@ def test_lstm_step_does_not_mutate_inputs():
     assert np.array_equal(x, x0)
     assert np.array_equal(h, h0)
     assert np.array_equal(c, c0)
+
+
+def test_grad_check_on_permuted_columns():
+    # a fancy-indexed value is not C-contiguous; the block must hold a copy
+    # that grad_check's reshape(-1) perturbs in place
+    a = np.random.default_rng(1).standard_normal((3, 4))
+    p = ParamBlock("w", a[:, [0, 2, 1, 3]])
+
+    def loss():
+        p.zero_grad()
+        p.grad += 2.0 * p.value
+        return float(np.sum(p.value * p.value))
+
+    assert max(grad_check(loss, [p]).values()) < 1e-6
 
 
 def test_adam_zero_gradient_leaves_params():
