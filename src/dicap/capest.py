@@ -120,26 +120,27 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048, batch=32,
 
     Chunk k is ``batch`` sequences generated from its own streams
     ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and ``.../channel``; power
-    normalization applies per chunk. ``evaluate_chunks`` scores each chunk
-    in the process that generated it. Returns (estimate, d_y, d_yx,
-    realized_power, actual sample count).
+    normalization applies per chunk. ``evaluate_chunks`` rolls out and scores
+    each group of chunks in one pass, in the process that scores it. Returns
+    (estimate, d_y, d_yx, realized_power, actual sample count).
     """
     n_seq = -(-samples // seq_len)
-    chunks = [(k, min(batch, n_seq - s))
-              for k, s in enumerate(range(0, n_seq, batch))]
-    est, vy, vyx, sumsq = evaluate_chunks(dine, seed, _rollout_chunk, chunks,
+    sizes = [min(batch, n_seq - s) for s in range(0, n_seq, batch)]
+    est, vy, vyx, sumsq = evaluate_chunks(dine, seed, sizes, _rollout_group,
                                           ndt, spec, seq_len, seed,
                                           fb_norm_decay)
     count = n_seq * seq_len
     return est, vy, vyx, sumsq / count, count
 
 
-def _rollout_chunk(ndt, spec, seq_len, seed, fb_norm_decay, k, n_seq):
-    """Channel inputs and outputs of the n_seq sequences of chunk k."""
+def _rollout_group(ndt, spec, seq_len, seed, fb_norm_decay, group):
+    """Channel inputs and outputs of the chunks ``(k, n_seq)`` of ``group``,
+    stacked in chunk order and generated in one rollout."""
     rng = Rng(seed)
-    ro = rollout(ndt, spec, n_seq, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
-                 rng.stream(f"eval/{k}/channel"), need_cache=False,
-                 fb_norm_decay=fb_norm_decay)
+    ro = rollout(ndt, spec, [n for _, n in group], seq_len,
+                 [rng.stream(f"eval/{k}/ndt-noise") for k, _ in group],
+                 [rng.stream(f"eval/{k}/channel") for k, _ in group],
+                 need_cache=False, fb_norm_decay=fb_norm_decay)
     return ro.x, ro.y
 
 

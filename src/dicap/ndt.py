@@ -63,18 +63,20 @@ class NdtModel:
         return dfb, dh_prev, dc_prev
 
 
-def power_normalize(raw, power, eps=1e-12):
+def power_normalize(raw, power, eps=1e-12, out=None):
     """Scale a whole (B, T, d) batch so its empirical mean square equals power.
 
     Differentiable; gradient flows through both the samples and the batch
-    statistic. An all-zero batch maps to zero output.
+    statistic. An all-zero batch maps to zero output. The result is written
+    to ``out`` if given, which may be ``raw`` itself when no backward pass
+    follows.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
     raw = np.asarray(raw, dtype=np.float64)
     ms = float(np.mean(raw * raw))
     scale = np.sqrt(power / (ms + eps))
-    return raw * scale, (raw, ms, scale, power, eps)
+    return np.multiply(raw, scale, out=out), (raw, ms, scale, power, eps)
 
 
 def power_normalize_backward(cache, dx):

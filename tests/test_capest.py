@@ -84,7 +84,7 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
     ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=feedback,
                    gen=rng.stream("ndt"))
     # 50 sequences in chunks of 7: the last chunk holds one; 5 sequences
-    # make one chunk, so the helpers' blocks are empty
+    # make one chunk, so all blocks but one are empty
     for cpus, samples, n_seq in ((2, 4950, 50), (3, 4950, 50), (2, 495, 5),
                                  (3, 495, 5)):
         results = []
@@ -95,6 +95,51 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
                 seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
         assert results[0] == results[1]
         assert results[0][4] == n_seq * 99
+
+
+def _width32_models(feedback):
+    rng = Rng(12)
+    model = DineModel(1, 1, hidden=32, head_hidden=32, rng=rng)
+    ndt = NdtModel(1, 1, hidden=32, dense_hidden=32, feedback=feedback,
+                   gen=rng.stream("ndt"))
+    return model, ndt
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_monte_carlo_same_for_any_group_size(monkeypatch, feedback):
+    # a group of chunks is rolled out and scored in one pass; each chunk
+    # keeps its streams, its power normalization and its DV terms, and
+    # chunks of 8 sequences score as they would alone
+    model, ndt = _width32_models(feedback)
+
+    def run():
+        # 45 sequences in chunks of 8: the last chunk holds 5
+        return monte_carlo_eval(
+            model, ndt, ChannelSpec("ma1", alpha=0.5), 45 * 30, seed=13,
+            seq_len=30, batch=8, fb_norm_decay=0.5 if feedback else 0.0)
+
+    want = run()
+    # one chunk per group, two, and all chunks in one group
+    for group_seqs in (1, 16, 10 ** 6):
+        monkeypatch.setattr(dine, "_GROUP_SEQS", group_seqs)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+            assert run() == want
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_monte_carlo_same_for_any_cpu_count_with_odd_chunks(monkeypatch,
+                                                           feedback):
+    # chunks of 7 sequences may round differently inside a group than
+    # alone, so the groups must not depend on the worker count
+    model, ndt = _width32_models(feedback)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        results.append(monte_carlo_eval(
+            model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
+            seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

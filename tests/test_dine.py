@@ -82,6 +82,22 @@ def test_modified_unroll_length_mismatch():
         pot.forward(np.zeros((2, 5, 1)), np.zeros((2, 4, 1)))
 
 
+def test_shared_input_matches_joint_input():
+    # pot_yx steps on [y; x] and [y_ref; x] built per step from the parts
+    gen = np.random.default_rng(7)
+    pot = DinePotential(2, hidden=6, head_hidden=4, gen=gen)
+    y, y_ref, x = gen.standard_normal((3, 4, 5, 1))
+    t, t_ref, _ = pot.forward(y, y_ref, need_cache=False, shared=x)
+    j, j_ref, _ = pot.forward(np.concatenate([y, x], axis=-1),
+                              np.concatenate([y_ref, x], axis=-1),
+                              need_cache=False)
+    assert np.array_equal(t, j) and np.array_equal(t_ref, j_ref)
+    with pytest.raises(ValueError):
+        pot.forward(y, y_ref)
+    with pytest.raises(ValueError):
+        pot.forward(y, y_ref, shared=x[:, :3])
+
+
 def test_reference_isolation():
     # perturbing any reference sample must not change true-path potentials
     gen = np.random.default_rng(5)
@@ -215,7 +231,7 @@ def test_dine_estimate_same_for_one_and_two_workers(monkeypatch):
     x = gen.standard_normal((70, 30, 1))
     y = x + gen.standard_normal((70, 30, 1))
     # 70 sequences in chunks of 32: the last chunk is short; 20 sequences
-    # make one chunk, so the helpers' blocks are empty
+    # make one chunk, so all blocks but one are empty
     for cpus, n_seq in ((2, 70), (3, 70), (2, 20), (3, 20)):
         results = []
         for workers in (1, cpus):
@@ -223,6 +239,40 @@ def test_dine_estimate_same_for_one_and_two_workers(monkeypatch):
             results.append(dine_estimate(model, x[:n_seq], y[:n_seq],
                                          seed=19))
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("x_seqs", [64, 20])
+def test_evaluate_rejects_mismatched_x_and_y(monkeypatch, started_helpers,
+                                             cpus, x_seqs):
+    # a longer x was scored on y's first sequences, a shorter one failed in
+    # numpy or killed the helper; both fail here before a helper starts
+    monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+    model = DineModel(1, 1, hidden=5, head_hidden=4, rng=Rng(17))
+    gen = np.random.default_rng(18)
+    x = gen.standard_normal((x_seqs, 30, 1))
+    y = gen.standard_normal((32, 30, 1))
+    shapes = rf"\({x_seqs}, 30, 1\).*\(32, 30, 1\)"
+    with pytest.raises(ValueError, match=shapes):
+        dine_estimate(model, x, y, seed=19)
+    assert started_helpers == []
+
+
+def test_dine_estimate_same_for_any_group_size(monkeypatch):
+    # groups of one chunk, of two or of all chunks; each chunk keeps its own
+    # reference stream and DV terms, and chunks of 32 sequences score as
+    # they would alone
+    model = DineModel(1, 1, hidden=32, head_hidden=32, rng=Rng(17))
+    gen = np.random.default_rng(18)
+    x = gen.standard_normal((70, 30, 1))
+    y = x + gen.standard_normal((70, 30, 1))
+    want = dine_estimate(model, x, y, seed=19)
+    # 70 sequences in chunks of 32: the last chunk holds 6
+    for group_seqs in (1, 64, 10 ** 6):
+        monkeypatch.setattr(dine, "_GROUP_SEQS", group_seqs)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+            assert dine_estimate(model, x, y, seed=19) == want
 
 
 def test_evaluation_imports_no_process_pool():
