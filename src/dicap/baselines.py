@@ -182,8 +182,17 @@ def gaussian_di_oracle(power, alpha, n=1024):
 
 
 def gaussian_di_spectral(power, alpha):
-    """Spectral cross-check: (1/4pi) int log(1 + power/S_Z(w)) dw."""
+    """Spectral cross-check: (1/4pi) int log(1 + power/S_Z(w)) dw.
+
+    As in :func:`ma1_ff_capacity`, Jensen's formula gives the log S_Z part,
+    so only log(S_Z + power) needs quadrature and |alpha| = 1 is finite.
+    """
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    if power == 0.0:
+        return 0.0
     omega = np.linspace(0.0, np.pi, 2 ** 16 + 1)
     dx = omega[1] - omega[0]
-    integ = np.log1p(power / ma1_noise_psd(omega, alpha))
-    return _simpson(integ, dx) / (2.0 * np.pi)
+    integ = np.log(ma1_noise_psd(omega, alpha) + power)
+    return (_simpson(integ, dx) / (2.0 * np.pi)
+            - 0.5 * np.log(max(1.0, alpha * alpha)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,35 @@ def test_gaussian_oracle_converges_to_spectral_integral():
     assert got["rate_nats"] == pytest.approx(spectral, abs=2e-4)
     # the 2n value must be closer to the limit than the n value
     assert abs(got["rate_nats_2n"] - spectral) < abs(got["rate_nats"] - spectral)
+
+
+def test_gaussian_spectral_finite_at_unit_alpha():
+    # the noise spectrum's null falls on a quadrature node at |alpha| = 1.
+    # There S_Z + 1 = 3 + 2 cos w and the rate is log of the golden ratio
+    # (int_0^2pi log(a + b cos w) dw = 2 pi log((a + sqrt(a^2 - b^2)) / 2));
+    # a midpoint rule of the original integrand, whose nodes miss the null,
+    # approaches it with an O(h) error from the log singularity
+    exact = np.log((1.0 + np.sqrt(5.0)) / 2.0)
+    omega = (np.arange(10 ** 6) + 0.5) * np.pi / 10 ** 6
+    for alpha in (1.0, -1.0):
+        midpoint = 0.5 * np.mean(np.log1p(1.0 / bl.ma1_noise_psd(omega, alpha)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bl.gaussian_di_spectral(1.0, alpha)
+        assert got == pytest.approx(exact, abs=1e-12)
+        assert got == pytest.approx(midpoint, abs=2e-6)
+
+
+def test_gaussian_spectral_unchanged_off_the_null():
+    # Simpson's rule on log1p(P / S_Z), the form used before Jensen's formula
+    omega = np.linspace(0.0, np.pi, 2 ** 16 + 1)
+    for alpha in (0.0, 0.5, 0.99, -0.9, 2.0):
+        direct = bl._simpson(np.log1p(1.0 / bl.ma1_noise_psd(omega, alpha)),
+                             omega[1]) / (2.0 * np.pi)
+        assert abs(bl.gaussian_di_spectral(1.0, alpha) - direct) <= 1e-12
+
+
+def test_gaussian_spectral_power_domain():
+    assert bl.gaussian_di_spectral(0.0, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        bl.gaussian_di_spectral(-1.0, 0.5)

@@ -1,6 +1,7 @@
 import io
 import os
 import pickle
+import platform
 import subprocess
 import sys
 
@@ -413,6 +414,54 @@ def test_model_usable_after_training_raises(monkeypatch, started_helpers):
     assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
     assert len(started_helpers) == 1
     assert started_helpers[0].poll() is not None
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="glibc malloc on Linux only")
+def test_helper_keeps_its_heap(monkeypatch):
+    # a pot_y step allocates and frees about 10 MB; a helper whose malloc
+    # trims the heap faulted about 2,500 pages back in per step, one that
+    # keeps it about 80
+    import resource
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 2)
+    gen = np.random.default_rng(30)
+    x = gen.standard_normal((64, 32, 1))
+    y = x + gen.standard_normal((64, 32, 1))
+
+    def helper_faults(steps):
+        model = DineModel(1, 1, hidden=32, head_hidden=32, rng=Rng(31),
+                          lr=1e-3)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        with model.training():
+            for _ in range(steps):
+                model.train_step(x, y)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    start_up = helper_faults(0)
+    assert (helper_faults(30) - start_up) / 30 < 400
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/environ"),
+                    reason="needs /proc/<pid>/environ")
+def test_helper_environment(monkeypatch, started_helpers):
+    # the helper sets its own pins and allocator settings, whatever the
+    # caller's environment holds
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "0")
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "0")
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 2)
+    model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(32))
+    with model.training():
+        with open(f"/proc/{started_helpers[0].pid}/environ", "rb") as f:
+            env = dict(item.decode().split("=", 1)
+                       for item in f.read().split(b"\0") if item)
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["OMP_NUM_THREADS"] == "1"
+    assert env["MKL_NUM_THREADS"] == "1"
+    assert int(env["MALLOC_TRIM_THRESHOLD_"]) >= 2 ** 30
+    assert env["MALLOC_MMAP_THRESHOLD_"] == "33554432"
 
 
 def test_receive_from_killed_helper_raises():
