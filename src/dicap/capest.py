@@ -39,7 +39,6 @@ class TrainConfig:
     feedback: bool = False
     eval_samples: int = 1_000_000
     eval_seq_len: int = 2048
-    eval_batch: int = 32
     seed: int = 0
     dine_hidden: int = 64
     head_hidden: int = 64
@@ -60,8 +59,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite")
         positive = ("batch_size", "seq_len", "dine_lr", "ndt_lr", "budget",
                     "dine_steps_per_ndt", "power", "eval_samples",
-                    "eval_seq_len", "eval_batch", "dine_hidden", "head_hidden",
-                    "ndt_hidden")
+                    "eval_seq_len", "dine_hidden", "head_hidden", "ndt_hidden")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -114,33 +112,30 @@ def baseline_for(spec, power, feedback):
     return None
 
 
-def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048, batch=32,
+def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048,
                      fb_norm_decay=0.0):
     """Long evaluation with frozen models: fresh rollouts totaling ``samples``.
 
-    Chunk k is ``batch`` sequences generated from its own streams
-    ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and ``.../channel``; power
-    normalization applies per chunk. ``evaluate_chunks`` rolls out and scores
-    each group of chunks in one pass, in the process that scores it. Returns
-    (estimate, d_y, d_yx, realized_power, actual sample count).
+    ``evaluate_chunks`` cuts the sequences into chunks; chunk k is rolled
+    out from its own streams ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and
+    ``.../channel``, with power normalization over the chunk, in the process
+    that scores it. Returns (estimate, d_y, d_yx, realized_power, actual
+    sample count).
     """
     n_seq = -(-samples // seq_len)
-    sizes = [min(batch, n_seq - s) for s in range(0, n_seq, batch)]
-    est, vy, vyx, sumsq = evaluate_chunks(dine, seed, sizes, _rollout_group,
+    est, vy, vyx, sumsq = evaluate_chunks(dine, seed, n_seq, _rollout_chunk,
                                           ndt, spec, seq_len, seed,
                                           fb_norm_decay)
     count = n_seq * seq_len
     return est, vy, vyx, sumsq / count, count
 
 
-def _rollout_group(ndt, spec, seq_len, seed, fb_norm_decay, group):
-    """Channel inputs and outputs of the chunks ``(k, n_seq)`` of ``group``,
-    stacked in chunk order and generated in one rollout."""
+def _rollout_chunk(ndt, spec, seq_len, seed, fb_norm_decay, k, n_seq):
+    """Channel inputs and outputs of the n_seq sequences of chunk k."""
     rng = Rng(seed)
-    ro = rollout(ndt, spec, [n for _, n in group], seq_len,
-                 [rng.stream(f"eval/{k}/ndt-noise") for k, _ in group],
-                 [rng.stream(f"eval/{k}/channel") for k, _ in group],
-                 need_cache=False, fb_norm_decay=fb_norm_decay)
+    ro = rollout(ndt, spec, n_seq, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
+                 rng.stream(f"eval/{k}/channel"), need_cache=False,
+                 fb_norm_decay=fb_norm_decay)
     return ro.x, ro.y
 
 
@@ -188,7 +183,7 @@ def estimate_capacity(spec, config):
                     curve.append((it, vy, vyx, obj, ro.realized_power))
             est, vy, vyx, realized, count = monte_carlo_eval(
                 dine, ndt, spec, config.eval_samples, config.seed + 1,
-                config.eval_seq_len, config.eval_batch, decay)
+                config.eval_seq_len, decay)
     except GradientError as err:
         failed = True
         reason = str(err)

@@ -82,34 +82,15 @@ def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True,
     output are interleaved per step and normalization uses causal per-step
     batch statistics (optionally blended with an exponential running estimate
     via ``fb_norm_decay``).
-
-    ``batch`` may also be a list of segment sizes, with ``noise_gen`` and
-    ``channel_gen`` lists of one generator per segment. The segments are
-    stacked and stepped as one batch, but each draws from its own generators
-    and is normalized over its own rows, so its trajectories are those of a
-    rollout of that segment alone, up to how the BLAS rounds a row at
-    another position in a matrix product (bit for bit for segments of
-    multiples of 8 sequences with the OpenBLAS kernels measured).
     """
-    if not isinstance(batch, list):
-        batch, noise_gen, channel_gen = [batch], [noise_gen], [channel_gen]
-    segments, rows = [], 0
-    for size in batch:
-        segments.append(slice(rows, rows + size))
-        rows += size
-    z = np.empty((rows, steps, 1))
-    n = np.empty((rows, steps, ndt.x_dim))
-    for seg, size, n_gen, z_gen in zip(segments, batch, noise_gen,
-                                       channel_gen):
-        z[seg] = draw_noise(spec, size, steps, z_gen)
-        n_gen.standard_normal(out=n[seg])
+    z = draw_noise(spec, batch, steps, channel_gen)
+    n = noise_gen.standard_normal((batch, steps, ndt.x_dim))
     if ndt.feedback:
-        return _feedback_forward(ndt, n, z, segments, need_cache,
-                                 fb_norm_decay)
-    return _open_loop_forward(ndt, n, z, segments, need_cache)
+        return _feedback_forward(ndt, n, z, need_cache, fb_norm_decay)
+    return _open_loop_forward(ndt, n, z, need_cache)
 
 
-def _open_loop_forward(ndt, n, z, segments, need_cache):
+def _open_loop_forward(ndt, n, z, need_cache):
     batch, steps, _ = n.shape
     h, c = ndt.zero_state(batch)
     raw = np.empty((batch, steps, ndt.x_dim))
@@ -119,17 +100,14 @@ def _open_loop_forward(ndt, n, z, segments, need_cache):
         if need_cache:
             caches.append(cache)
     # without a backward pass the raw outputs are normalized in place
-    x = np.empty_like(raw) if need_cache else raw
-    pcaches = [power_normalize(raw[seg], ndt.power, out=x[seg])[1]
-               for seg in segments]
-    return Rollout(x, x + z, z, False, ndt, (caches, pcaches, segments))
+    x, pcache = power_normalize(raw, ndt.power,
+                                out=np.empty_like(raw) if need_cache else raw)
+    return Rollout(x, x + z, z, False, ndt, (caches, pcache))
 
 
 def _open_loop_backward(ndt, caches, dx, dy):
-    step_caches, pcaches, segments = caches
-    d = dx + dy
-    draw = np.concatenate([power_normalize_backward(pcache, d[seg])
-                           for pcache, seg in zip(pcaches, segments)])
+    step_caches, pcache = caches
+    draw = power_normalize_backward(pcache, dx + dy)
     batch, steps, _ = draw.shape
     dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
@@ -137,11 +115,11 @@ def _open_loop_backward(ndt, caches, dx, dy):
         _, dh, dc = ndt.backward_step(step_caches[i], draw[:, i], dh, dc)
 
 
-def _feedback_forward(ndt, n, z, segments, need_cache, decay):
+def _feedback_forward(ndt, n, z, need_cache, decay):
     batch, steps, _ = n.shape
     h, c = ndt.zero_state(batch)
     fb = np.zeros((batch, ndt.y_dim))
-    m = [ndt.power] * len(segments)     # running mean square per segment
+    m = ndt.power
     eps = 1e-12
     x = np.empty((batch, steps, ndt.x_dim))
     y = np.empty((batch, steps, ndt.y_dim))
@@ -149,42 +127,36 @@ def _feedback_forward(ndt, n, z, segments, need_cache, decay):
     caches = []
     for i in range(steps):
         raw, h, c, cache = ndt.step(n[:, i], fb, h, c, need_cache)
-        step_scales = []
-        for j, seg in enumerate(segments):
-            r = raw[seg]
-            m[j] = decay * m[j] + (1.0 - decay) * float(np.mean(r * r))
-            scale = np.sqrt(ndt.power / (m[j] + eps))
-            np.multiply(r, scale, out=x[seg, i])
-            step_scales.append(scale)
+        m = decay * m + (1.0 - decay) * float(np.mean(raw * raw))
+        scale = np.sqrt(ndt.power / (m + eps))
+        np.multiply(raw, scale, out=x[:, i])
         fb = np.add(x[:, i], z[:, i], out=y[:, i])
         if need_cache:
             raws.append(raw)
-            scales.append(step_scales)
-            ms.append(list(m))
+            scales.append(scale)
+            ms.append(m)
             caches.append(cache)
-    internals = (caches, raws, scales, ms, decay, eps, segments)
+    internals = (caches, raws, scales, ms, decay, eps)
     return Rollout(x, y, z, True, ndt, internals)
 
 
 def _feedback_backward(ndt, internals, dx, dy):
-    caches, raws, scales, ms, decay, eps, segments = internals
+    caches, raws, scales, ms, decay, eps = internals
     batch, steps, _ = dx.shape
     dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
     dfb_next = None  # gradient of the output fed into the next step
-    dm_carry = [0.0] * len(segments)
+    dm_carry = 0.0
     for i in reversed(range(steps)):
         dyi = dy[:, i].copy()
         if dfb_next is not None:
             dyi += dfb_next
         dxi = dx[:, i] + dyi  # additive channel: dy/dx = 1
-        draw = np.empty_like(raws[i])
-        for j, seg in enumerate(segments):
-            raw, d, scale = raws[i][seg], dxi[seg], scales[i][j]
-            dscale = float(np.sum(d * raw))
-            dm = (dscale * (-0.5) * scale / (ms[i][j] + eps)
-                  + decay * dm_carry[j])
-            draw[seg] = d * scale + dm * (1.0 - decay) * 2.0 * raw / raw.size
-            dm_carry[j] = dm
+        raw = raws[i]
+        scale = scales[i]
+        dscale = float(np.sum(dxi * raw))
+        dm = dscale * (-0.5) * scale / (ms[i] + eps) + decay * dm_carry
+        draw = dxi * scale + dm * (1.0 - decay) * 2.0 * raw / raw.size
         dfb_next, dh, dc = ndt.backward_step(caches[i], draw, dh, dc)
+        dm_carry = dm
     # dm and dfb for step -1 hit constants (m0 = P, y0 = 0)

@@ -210,9 +210,10 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
             model, curve = dine_train(
                 source, x.shape[1], y.shape[1], hidden=hidden,
                 head_hidden=hidden, lr=lr, iters=iters, rng=rng)
-            # evaluate on the whole file, cut into long sequences
-            t_eval = min(2048, x.shape[0])
-            n_seq = x.shape[0] // t_eval
+            # evaluate on the whole file, cut into the fewest equal sequences
+            # of at most 2048 steps; fewer than n_seq rows are left over
+            n_seq = -(-x.shape[0] // 2048)
+            t_eval = x.shape[0] // n_seq
             ex = x[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
             ey = y[:n_seq * t_eval].reshape(n_seq, t_eval, -1)
             result = dine_estimate(model, ex, ey, seed=seed + 1)

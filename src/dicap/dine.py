@@ -39,9 +39,9 @@ class ReferenceBox:
     def widths(self):
         return self.hi - self.lo
 
-    def sample(self, gen, batch, steps, out=None):
-        """(batch, steps, dim) uniform samples, drawn into ``out`` if given."""
-        u = gen.random((batch, steps, self.lo.size), out=out)
+    def sample(self, gen, batch, steps):
+        """(batch, steps, dim) uniform samples."""
+        u = gen.random((batch, steps, self.lo.size))
         u *= self.widths
         u += self.lo
         return u
@@ -73,8 +73,11 @@ def dv_terms(t_true, t_ref):
     if not (np.all(np.isfinite(t_true)) and np.all(np.isfinite(t_ref))):
         raise GradientError("non-finite DV potential values")
     m = t_ref.max()
-    return (float(np.sum(t_true - m)), t_true.size, float(m),
-            float(np.sum(np.exp(t_ref - m))))
+    total = float(np.sum(t_true - m))
+    # one temporary at a time: the exp is taken in place
+    shifted = t_ref - m
+    np.exp(shifted, out=shifted)
+    return total, t_true.size, float(m), float(np.sum(shifted))
 
 
 def dv_combine(terms):
@@ -305,131 +308,100 @@ class DineModel:
             raise
         return self._helper.receive(), out_yx
 
-    def evaluate(self, x, y, seed, batch=32):
-        """``evaluate_chunks`` on chunks of ``batch`` sequences of x and y;
-        returns (estimate, d_y, d_yx)."""
+    def evaluate(self, x, y, seed):
+        """``evaluate_chunks`` on the sequences of x and y; returns
+        (estimate, d_y, d_yx)."""
         if x.shape[:2] != y.shape[:2]:
             raise ValueError(f"x of shape {x.shape} and y of shape {y.shape} "
                              f"differ in sequences or steps")
-        n = y.shape[0]
-        sizes = [min(batch, n - s) for s in range(0, n, batch)]
-        return evaluate_chunks(self, seed, sizes, _given, data=(x, y))[:3]
+        return evaluate_chunks(self, seed, y.shape[0], _given,
+                               data=(x, y))[:3]
 
 
-def _given(group, x, y):
+def _given(k, n, x, y):
     return x, y
 
 
-# Sequences per group of consecutive chunks that share one forward pass: at
-# 64 sequences each potential's cell steps 128 rows. On a 2-vCPU VM with
+# Sequences per evaluation chunk; a chunk is rolled out and scored in one
+# forward pass, so each potential's cell steps 128 rows. On a 2-vCPU VM with
 # BLAS pinned the fused cell costs 0.9-1.4 us per row at 32 rows and about
-# 0.7 at 128, and grouping raised the ff_capacity benchmark's evaluation
-# from 249 to 313 ksamples/s. Groups of 128 were about 10% faster again but
-# raised the evaluation's peak RSS from 53.9 to 59.0 MB, against 55.2-55.8
-# MB when each chunk had a pass of its own.
-_GROUP_SEQS = 64
+# 0.7 at 128. Chunks of 128 sequences were about 10% faster again but raised
+# the evaluation's peak RSS by about 5 MB.
+_CHUNK_SEQS = 64
 
 
-def evaluate_chunks(model, seed, sizes, load, *args, data=()):
+def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
     """Monte-Carlo evaluation of the frozen potentials of ``model``.
 
-    Chunk k holds ``sizes[k]`` sequences. Consecutive chunks form groups of
-    at most ``_GROUP_SEQS`` sequences (or one chunk), and the groups are cut
-    into contiguous blocks, one per process of ``helpers``.
-    ``load(*args, group, *rows) -> (x, y)`` runs in the process that scores
-    the group; ``group`` lists its chunks ``(k, n)`` and ``rows`` are the
-    group's rows of the arrays in ``data``. A first ``run_blocks`` pass loads
-    and keeps the groups and returns per chunk the sum of x² and per group
-    the range of y; the box fitted to the ranges is the box of all outputs.
-    A second pass scores the kept groups, one forward pass of each potential
-    per group, with chunk k's reference stream
-    ``Rng(seed).stream(f"eval/{k}/reference")`` and DV terms per chunk,
-    combined in chunk order. A group is computed the same way in any
-    process, so the result does not depend on the worker count.
-
-    Grouping changes only which rows share a matrix product. Chunks of a
-    multiple of 8 sequences (``eval_batch`` 32 included) score bit for bit
-    as they would alone with the OpenBLAS kernels measured here; other
-    chunk sizes can differ in the last bits, as the BLAS may round a row
-    differently at another position in a product. Returns (estimate, d_y,
-    d_yx, sum of x²).
+    The ``n_seq`` sequences are cut into chunks of ``_CHUNK_SEQS`` (the last
+    may be shorter), and the chunks into contiguous blocks, one per process
+    of ``helpers``. ``load(*args, k, n, *rows) -> (x, y)`` runs in the
+    process that scores chunk k of n sequences; ``rows`` are the chunk's
+    rows of the arrays in ``data``. A first ``run_blocks`` pass loads and
+    keeps the chunks and returns per chunk the sum of x² and the range of
+    y; the box fitted to the ranges is the box of all outputs. A second
+    pass scores the kept chunks, one forward pass of each potential per
+    chunk, with chunk k's reference stream
+    ``Rng(seed).stream(f"eval/{k}/reference")``, and the DV terms are
+    combined in chunk order. A chunk is computed the same way in any
+    process, so the result does not depend on the worker count. Returns
+    (estimate, d_y, d_yx, sum of x²).
     """
     mine = {}
     with helpers() as pool:
-        blocks = _cut(sizes, len(pool) + 1)
-        items = [[(group, *(a[rows] for a in data)) for rows, group in block]
-                 for block in blocks]
-        stats = run_blocks(mine, _load_groups, items, load, args)
+        blocks = _cut(n_seq, len(pool) + 1)
+        items = [[(k, rows.stop - rows.start, *(a[rows] for a in data))
+                  for k, rows in block] for block in blocks]
+        stats = run_blocks(mine, _load_chunks, items, load, args)
         box = model.fit_box(np.concatenate([y_range for _, y_range in stats]))
-        groups = [[group for _, group in block] for block in blocks]
-        terms = run_blocks(mine, _score_groups, groups, model, box, seed)
+        ks = [[k for k, _ in block] for block in blocks]
+        terms = run_blocks(mine, _score_chunks, ks, model, box, seed)
     vy = dv_combine([ty for ty, _ in terms])
     vyx = dv_combine([tyx for _, tyx in terms])
     sumsq = 0.0
-    for chunk_sums, _ in stats:   # not sum(): 3.12 compensates float sums
-        for chunk_sumsq in chunk_sums:
-            sumsq += chunk_sumsq
+    for chunk_sumsq, _ in stats:    # not sum(): 3.12 compensates float sums
+        sumsq += chunk_sumsq
     return vyx - vy, vy, vyx, sumsq
 
 
-def _cut(sizes, n_blocks):
-    """Cut the chunks ``(k, sizes[k])`` into groups of consecutive chunks
-    holding at most ``_GROUP_SEQS`` sequences, or one chunk, and the groups
+def _cut(n_seq, n_blocks):
+    """Cut ``n_seq`` sequences into chunks of ``_CHUNK_SEQS`` and the chunks
     into ``n_blocks`` contiguous blocks of about equal sequence counts.
-    Returns per block a list of (the group's rows, [(k, n), ...])."""
-    groups, starts, rows = [], [], 0
-    for k, n in enumerate(sizes):
-        if not groups or rows + n - starts[-1] > _GROUP_SEQS:
-            groups.append([])
-            starts.append(rows)
-        groups[-1].append((k, n))
-        rows += n
-    bounds = starts + [rows]
-    groups = [(slice(a, b), g) for a, b, g in zip(bounds, bounds[1:], groups)]
-    # block j ends at the group boundary nearest to j / n_blocks of the rows,
+    Returns per block a list of (k, the rows of chunk k)."""
+    bounds = list(range(0, n_seq, _CHUNK_SEQS)) + [n_seq]
+    chunks = list(enumerate(map(slice, bounds, bounds[1:])))
+    # block j ends at the chunk boundary nearest to j / n_blocks of the rows,
     # the later one on a tie
     cuts = [min(range(len(bounds)),
-                key=lambda g: (abs(bounds[g] * n_blocks - rows * j), -g))
+                key=lambda b: (abs(bounds[b] * n_blocks - n_seq * j), -b))
             for j in range(n_blocks + 1)]
-    return [groups[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _chunk_rows(group):
-    """(k, the chunk's rows within the group) for each chunk of ``group``."""
-    row = 0
-    for k, n in group:
-        yield k, slice(row, row + n)
-        row += n
+def _load_chunks(state, load, args, items):
+    """Load the chunks of one block and keep them in ``state``; returns per
+    chunk the sum of x² and the range of y."""
+    state["chunks"] = [load(*args, *item) for item in items]
+    return [(float(np.sum(x * x)), np.stack([y.min((0, 1)), y.max((0, 1))]))
+            for x, y in state["chunks"]]
 
 
-def _load_groups(state, load, args, items):
-    """Load the groups of one block and keep them in ``state``; returns per
-    group the sums of x² of its chunks and the range of y."""
-    state["groups"] = [load(*args, *item) for item in items]
-    return [([float(np.sum(x[rows] * x[rows])) for _, rows in _chunk_rows(g)],
-             np.stack([y.min((0, 1)), y.max((0, 1))]))
-            for (g, *_), (x, y) in zip(items, state["groups"])]
+def _score_chunks(state, model, box, seed, ks):
+    """DV terms of both potentials on each chunk k of ``ks`` that
+    ``_load_chunks`` kept for the same block; a chunk is dropped once
+    scored."""
+    chunks = state.pop("chunks")
+    return [_score_chunk(model, box, seed, k, *chunks.pop(0)) for k in ks]
 
 
-def _score_groups(state, model, box, seed, groups):
-    """Per-chunk DV terms of both potentials on the groups that
-    ``_load_groups`` kept for the same block."""
-    terms = []
-    for group, (x, y) in zip(groups, state.pop("groups")):
-        B, T, _ = y.shape
-        y_ref = np.empty((B, T, box.lo.size))
-        for k, rows in _chunk_rows(group):
-            box.sample(Rng(seed).stream(f"eval/{k}/reference"),
-                       rows.stop - rows.start, T, out=y_ref[rows])
-        ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
-        terms_y = [dv_terms(ty[rows], tr[rows])
-                   for _, rows in _chunk_rows(group)]
-        del ty, tr          # freed before pot_yx runs
-        tyx, trx, _ = model.pot_yx.forward(y, y_ref, need_cache=False,
-                                           shared=x)
-        terms += zip(terms_y, [dv_terms(tyx[rows], trx[rows])
-                               for _, rows in _chunk_rows(group)])
-    return terms
+def _score_chunk(model, box, seed, k, x, y):
+    B, T, _ = y.shape
+    y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
+    ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
+    terms_y = dv_terms(ty, tr)
+    del ty, tr          # freed before pot_yx runs
+    tyx, trx, _ = model.pot_yx.forward(y, y_ref, need_cache=False, shared=x)
+    return terms_y, dv_terms(tyx, trx)
 
 
 def usable_cpus():

@@ -6,14 +6,14 @@ import pytest
 from dicap import capest, dine
 from dicap.capest import (TrainConfig, curve_summary, estimate_capacity,
                           monte_carlo_eval)
-from dicap.channels import ChannelSpec
+from dicap.channels import ChannelSpec, rollout
 from dicap.dine import DineModel
 from dicap.ndt import NdtModel
 from dicap.nn import Rng
 
 TINY = dict(batch_size=4, seq_len=8, budget=6, warmup=3, dine_steps_per_ndt=2,
             dine_lr=1e-3, ndt_lr=1e-3, eval_samples=100_000, eval_seq_len=500,
-            eval_batch=10, dine_hidden=6, head_hidden=5, ndt_hidden=5)
+            dine_hidden=6, head_hidden=5, ndt_hidden=5)
 
 
 def test_config_validation():
@@ -70,7 +70,7 @@ def test_monte_carlo_zero_potentials_give_exact_zero():
         pot.head2.b.value[:] = 0.0
     ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("ndt"))
     est, vy, vyx, power, count = monte_carlo_eval(
-        dine, ndt, ChannelSpec("awgn"), 100_000, seed=7, seq_len=500, batch=20)
+        dine, ndt, ChannelSpec("awgn"), 100_000, seed=7, seq_len=500)
     assert est == 0.0
     assert vy == 0.0 and vyx == 0.0
     assert count >= 100_000
@@ -85,6 +85,7 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
                    gen=rng.stream("ndt"))
     # 50 sequences in chunks of 7: the last chunk holds one; 5 sequences
     # make one chunk, so all blocks but one are empty
+    monkeypatch.setattr(dine, "_CHUNK_SEQS", 7)
     for cpus, samples, n_seq in ((2, 4950, 50), (3, 4950, 50), (2, 495, 5),
                                  (3, 495, 5)):
         results = []
@@ -92,7 +93,7 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
             monkeypatch.setattr(dine, "usable_cpus", lambda: workers)
             results.append(monte_carlo_eval(
                 model, ndt, ChannelSpec("ma1", alpha=0.5), samples, seed=13,
-                seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
+                seq_len=99, fb_norm_decay=0.5 if feedback else 0.0))
         assert results[0] == results[1]
         assert results[0][4] == n_seq * 99
 
@@ -106,39 +107,42 @@ def _width32_models(feedback):
 
 
 @pytest.mark.parametrize("feedback", [False, True])
-def test_monte_carlo_same_for_any_group_size(monkeypatch, feedback):
-    # a group of chunks is rolled out and scored in one pass; each chunk
-    # keeps its streams, its power normalization and its DV terms, and
-    # chunks of 8 sequences score as they would alone
+def test_monte_carlo_matches_reference(monkeypatch, reference_estimate,
+                                       feedback):
+    # each chunk is rolled out alone from its own streams, normalized over
+    # its own rows and scored alone
     model, ndt = _width32_models(feedback)
-
-    def run():
-        # 45 sequences in chunks of 8: the last chunk holds 5
-        return monte_carlo_eval(
-            model, ndt, ChannelSpec("ma1", alpha=0.5), 45 * 30, seed=13,
-            seq_len=30, batch=8, fb_norm_decay=0.5 if feedback else 0.0)
-
-    want = run()
-    # one chunk per group, two, and all chunks in one group
-    for group_seqs in (1, 16, 10 ** 6):
-        monkeypatch.setattr(dine, "_GROUP_SEQS", group_seqs)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
-            assert run() == want
+    spec = ChannelSpec("ma1", alpha=0.5)
+    decay = 0.5 if feedback else 0.0
+    rng = Rng(13)
+    # 150 sequences in chunks of 64: the last chunk holds 22
+    chunks = [rollout(ndt, spec, n, 30, rng.stream(f"eval/{k}/ndt-noise"),
+                      rng.stream(f"eval/{k}/channel"), need_cache=False,
+                      fb_norm_decay=decay)
+              for k, n in enumerate((64, 64, 22))]
+    sumsq = 0.0
+    for ro in chunks:
+        sumsq += float(np.sum(ro.x * ro.x))
+    want = (*reference_estimate(model, [(ro.x, ro.y) for ro in chunks], 13),
+            sumsq / (150 * 30), 150 * 30)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        assert monte_carlo_eval(model, ndt, spec, 150 * 30, seed=13,
+                                seq_len=30, fb_norm_decay=decay) == want
 
 
 @pytest.mark.parametrize("feedback", [False, True])
 def test_monte_carlo_same_for_any_cpu_count_with_odd_chunks(monkeypatch,
                                                            feedback):
-    # chunks of 7 sequences may round differently inside a group than
-    # alone, so the groups must not depend on the worker count
+    # chunks of 7 sequences, cut into different blocks on 1, 2 and 3 CPUs
+    monkeypatch.setattr(dine, "_CHUNK_SEQS", 7)
     model, ndt = _width32_models(feedback)
     results = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         results.append(monte_carlo_eval(
             model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
-            seq_len=99, batch=7, fb_norm_decay=0.5 if feedback else 0.0))
+            seq_len=99, fb_norm_decay=0.5 if feedback else 0.0))
     assert results[0] == results[1] == results[2]
 
 

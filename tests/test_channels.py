@@ -153,58 +153,3 @@ def test_pathwise_derivative_is_identity():
     dx[0, 2, 0] = 1e-3
     y2 = (x + dx) + z
     assert np.allclose((y2 - y1) / 1e-3, dx / 1e-3 * 1.0)
-
-
-@pytest.mark.parametrize("feedback", [False, True])
-def test_segmented_rollout_matches_separate_rollouts(feedback):
-    # each segment draws from its own streams and is normalized over its own
-    # rows, so it equals a rollout of that segment alone: bit for bit for
-    # segments of multiples of 8 sequences, to rounding for others
-    rng = Rng(10)
-    ndt = NdtModel(1, 1, hidden=32, dense_hidden=32, feedback=feedback,
-                   gen=rng.stream("init"))
-    spec = ChannelSpec("ma1", alpha=0.5)
-    for sizes, exact in (([8, 16, 5], True), ([3, 1, 4], False)):
-        joined = rollout(ndt, spec, sizes, 9,
-                         [rng.stream(f"n{j}") for j in range(3)],
-                         [rng.stream(f"c{j}") for j in range(3)],
-                         need_cache=False, fb_norm_decay=0.4)
-        alone = [rollout(ndt, spec, n, 9, rng.stream(f"n{j}"),
-                         rng.stream(f"c{j}"), need_cache=False,
-                         fb_norm_decay=0.4)
-                 for j, n in enumerate(sizes)]
-        for field in ("x", "y", "noise"):
-            want = np.concatenate([getattr(ro, field) for ro in alone])
-            if exact:
-                assert np.array_equal(getattr(joined, field), want)
-            else:
-                assert np.allclose(getattr(joined, field), want,
-                                   rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.parametrize("feedback", [False, True])
-def test_segmented_rollout_gradients_add_up(feedback):
-    # the generator grads of a segmented rollout are the sums of those of
-    # its segments' rollouts
-    rng = Rng(11)
-    ndt = NdtModel(1, 1, hidden=5, dense_hidden=4, feedback=feedback,
-                   gen=rng.stream("init"))
-    spec = ChannelSpec("ma1", alpha=0.5)
-    sizes = [2, 3]
-    gen = np.random.default_rng(12)
-    dx, dy = gen.standard_normal((2, 5, 7, 1))
-
-    def grads(batch, noise_gen, channel_gen, rows):
-        for p in ndt.params():
-            p.zero_grad()
-        ro = rollout(ndt, spec, batch, 7, noise_gen, channel_gen,
-                     fb_norm_decay=0.3)
-        ro.backward(dx[rows], dy[rows])
-        return [p.grad.copy() for p in ndt.params()]
-
-    joined = grads(sizes, [rng.stream("n0"), rng.stream("n1")],
-                   [rng.stream("c0"), rng.stream("c1")], slice(0, 5))
-    first = grads(2, rng.stream("n0"), rng.stream("c0"), slice(0, 2))
-    second = grads(3, rng.stream("n1"), rng.stream("c1"), slice(2, 5))
-    for g, a, b in zip(joined, first, second):
-        assert np.allclose(g, a + b, rtol=1e-10, atol=1e-14)

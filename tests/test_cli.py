@@ -97,12 +97,16 @@ def test_capacity_tiny_run_writes_outputs(runner, tmp_path):
 
 
 def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
+    # eval_batch was a field once; a config that still sets it is rejected
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"budget": 2, "nonsense": 1}))
-    res = runner.invoke(main, ["capacity", "--family", "awgn", "--power", "1",
-                               "--config", str(cfg)])
-    assert res.exit_code == 2
-    assert "unknown config keys" in res.output
+    for raw, key in (({"budget": 2, "nonsense": 1}, "nonsense"),
+                     ({"eval_batch": 32}, "eval_batch")):
+        cfg.write_text(json.dumps(raw))
+        res = runner.invoke(main, ["capacity", "--family", "awgn", "--power",
+                                   "1", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert "unknown config keys" in res.output
+        assert key in res.output
 
 
 @pytest.mark.parametrize("bad", [
@@ -191,6 +195,18 @@ def test_di_estimate_tiny_run(runner, tmp_path):
     summary = json.loads((tmp_path / "dine_summary_traj.json").read_text())
     assert "estimate_nats" in summary and "estimate_bits" in summary
     assert (tmp_path / "dine_curve_traj.csv").exists()
+
+
+def test_di_estimate_evaluates_the_whole_file(runner, tmp_path):
+    # 3000 rows are two sequences of 1500 steps, not one of 2048
+    gen = Rng(6).stream("file")
+    x = gen.standard_normal((3000, 1))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, x, x + gen.standard_normal((3000, 1)))
+    res = _tiny_di_estimate(runner, path, tmp_path)
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "dine_summary_traj.json").read_text())
+    assert summary["samples"] == 3000
 
 
 def test_di_estimate_one_helper_for_training_and_evaluation(

@@ -138,6 +138,10 @@ def test_dv_terms_combine_across_chunks():
     whole, _, _ = dv_value(t, tr)
     terms = [dv_terms(t[s:s + 3], tr[s:s + 3]) for s in range(0, 7, 3)]
     assert dv_combine(terms) == pytest.approx(whole, rel=1e-12)
+    # the in-place exp gives the sums of the plain expressions
+    m = tr.max()
+    assert dv_terms(t, tr) == (float(np.sum(t - m)), t.size, float(m),
+                               float(np.sum(np.exp(tr - m))))
     with pytest.raises(GradientError):
         dv_terms(t, np.full_like(tr, np.nan))
 
@@ -169,7 +173,8 @@ def test_dv_matches_closed_form_gaussian_kl():
     assert v == pytest.approx(np.log(width) - h_gauss, abs=1e-2)
 
 
-def test_constant_head_gives_zero_estimate():
+def test_constant_head_gives_zero_estimate(monkeypatch):
+    monkeypatch.setattr(dine, "_CHUNK_SEQS", 2)
     rng = Rng(9)
     model = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
     for pot in (model.pot_y, model.pot_yx):
@@ -178,7 +183,7 @@ def test_constant_head_gives_zero_estimate():
     gen = np.random.default_rng(10)
     x = gen.standard_normal((3, 10, 1))
     y = gen.standard_normal((3, 10, 1))
-    est, vy, vyx = model.evaluate(x, y, seed=10, batch=2)
+    est, vy, vyx = model.evaluate(x, y, seed=10)
     assert est == 0.0
     assert vy == 0.0
     assert vyx == 0.0
@@ -233,6 +238,7 @@ def test_dine_estimate_same_for_one_and_two_workers(monkeypatch):
     y = x + gen.standard_normal((70, 30, 1))
     # 70 sequences in chunks of 32: the last chunk is short; 20 sequences
     # make one chunk, so all blocks but one are empty
+    monkeypatch.setattr(dine, "_CHUNK_SEQS", 32)
     for cpus, n_seq in ((2, 70), (3, 70), (2, 20), (3, 20)):
         results = []
         for workers in (1, cpus):
@@ -259,21 +265,17 @@ def test_evaluate_rejects_mismatched_x_and_y(monkeypatch, started_helpers,
     assert started_helpers == []
 
 
-def test_dine_estimate_same_for_any_group_size(monkeypatch):
-    # groups of one chunk, of two or of all chunks; each chunk keeps its own
-    # reference stream and DV terms, and chunks of 32 sequences score as
-    # they would alone
+def test_dine_estimate_matches_reference(monkeypatch, reference_estimate):
     model = DineModel(1, 1, hidden=32, head_hidden=32, rng=Rng(17))
     gen = np.random.default_rng(18)
-    x = gen.standard_normal((70, 30, 1))
-    y = x + gen.standard_normal((70, 30, 1))
-    want = dine_estimate(model, x, y, seed=19)
-    # 70 sequences in chunks of 32: the last chunk holds 6
-    for group_seqs in (1, 64, 10 ** 6):
-        monkeypatch.setattr(dine, "_GROUP_SEQS", group_seqs)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
-            assert dine_estimate(model, x, y, seed=19) == want
+    x = gen.standard_normal((150, 30, 1))
+    y = x + gen.standard_normal((150, 30, 1))
+    # 150 sequences in chunks of 64: the last chunk holds 22
+    chunks = [(x[s:s + 64], y[s:s + 64]) for s in range(0, 150, 64)]
+    want = reference_estimate(model, chunks, seed=19)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        assert model.evaluate(x, y, seed=19) == want
 
 
 def test_evaluation_imports_no_process_pool():
