@@ -120,7 +120,6 @@ def _feedback_forward(ndt, n, z, need_cache, decay):
     h, c = ndt.zero_state(batch)
     fb = np.zeros((batch, ndt.y_dim))
     m = ndt.power
-    eps = 1e-12
     x = np.empty((batch, steps, ndt.x_dim))
     y = np.empty((batch, steps, ndt.y_dim))
     raws, scales, ms = [], [], []
@@ -128,7 +127,7 @@ def _feedback_forward(ndt, n, z, need_cache, decay):
     for i in range(steps):
         raw, h, c, cache = ndt.step(n[:, i], fb, h, c, need_cache)
         m = decay * m + (1.0 - decay) * float(np.mean(raw * raw))
-        scale = np.sqrt(ndt.power / (m + eps))
+        scale = np.sqrt(ndt.power / m) if m > 0 else 0.0
         np.multiply(raw, scale, out=x[:, i])
         fb = np.add(x[:, i], z[:, i], out=y[:, i])
         if need_cache:
@@ -136,12 +135,12 @@ def _feedback_forward(ndt, n, z, need_cache, decay):
             scales.append(scale)
             ms.append(m)
             caches.append(cache)
-    internals = (caches, raws, scales, ms, decay, eps)
+    internals = (caches, raws, scales, ms, decay)
     return Rollout(x, y, z, True, ndt, internals)
 
 
 def _feedback_backward(ndt, internals, dx, dy):
-    caches, raws, scales, ms, decay, eps = internals
+    caches, raws, scales, ms, decay = internals
     batch, steps, _ = dx.shape
     dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
@@ -155,7 +154,8 @@ def _feedback_backward(ndt, internals, dx, dy):
         raw = raws[i]
         scale = scales[i]
         dscale = float(np.sum(dxi * raw))
-        dm = dscale * (-0.5) * scale / (ms[i] + eps) + decay * dm_carry
+        dm = dscale * (-0.5) * scale / ms[i] if ms[i] > 0 else 0.0
+        dm += decay * dm_carry
         draw = dxi * scale + dm * (1.0 - decay) * 2.0 * raw / raw.size
         dfb_next, dh, dc = ndt.backward_step(caches[i], draw, dh, dc)
         dm_carry = dm

@@ -144,7 +144,7 @@ class DinePotential:
                 raise ValueError("shared input shape differs")
         if d + (0 if shared is None else shared.shape[2]) != self.in_dim:
             raise ValueError(f"potential input dim != expected {self.in_dim}")
-        h, c = self.cell.zero_state(2 * B)
+        h, c = self.cell.zero_state(B)
         t_true = np.empty((B, T))
         t_ref = np.empty((B, T))
         caches = [] if need_cache else None
@@ -158,15 +158,14 @@ class DinePotential:
                 x2[:B, d:] = shared[:, i]
                 x2[B:, d:] = shared[:, i]
             h2, c2, lc = self.cell.step(x2, h, c)
-            mid, hc1 = self.head1.forward(h2.T)
+            mid, hc1 = self.head1.forward(h2)
             t2, hc2 = self.head2.forward(mid)
-            t_true[:, i] = t2[:B, 0]
-            t_ref[:, i] = t2[B:, 0]
+            t_true[:, i] = t2[0, :B]
+            t_ref[:, i] = t2[0, B:]
             if need_cache:
                 caches.append((lc, hc1, hc2))
-            # both branches of the next step restart from the true-path state
-            h = np.concatenate([h2[:, :B], h2[:, :B]], axis=1)
-            c = np.concatenate([c2[:, :B], c2[:, :B]], axis=1)
+            # only the true branch advances the recursion
+            h, c = h2[:, :B], c2[:, :B]
         return t_true, t_ref, caches
 
     def backward(self, caches, dt_true, dt_ref):
@@ -181,16 +180,12 @@ class DinePotential:
         dc_carry = np.zeros((self.hidden, B))
         for i in reversed(range(T)):
             lc, hc1, hc2 = caches[i]
-            dt2 = np.concatenate([dt_true[:, i], dt_ref[:, i]])[:, None]
-            dh2 = self.head1.backward(hc1, self.head2.backward(hc2, dt2)).T
+            dt2 = np.concatenate([dt_true[:, i], dt_ref[:, i]])[None]
+            dh2 = self.head1.backward(hc1, self.head2.backward(hc2, dt2))
             dh2[:, :B] += dh_carry
-            dc2 = np.zeros((self.hidden, 2 * B))
-            dc2[:, :B] = dc_carry
-            dx, dh, dc = self.cell.backward_step(lc, dh2, dc2)
+            dx, dh_carry, dc_carry = self.cell.backward_step(lc, dh2, dc_carry)
             d_true[:, i] = dx[:B]
             d_ref[:, i] = dx[B:]
-            dh_carry = dh[:, :B] + dh[:, B:]
-            dc_carry = dc[:, :B] + dc[:, B:]
         return d_true, d_ref
 
 

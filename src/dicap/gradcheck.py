@@ -24,8 +24,8 @@ def _zero(params):
 def check_dense(seed=0):
     gen = np.random.default_rng(seed)
     layer = Dense(3, 4, "tanh", gen, name="gc.dense")
-    x = gen.standard_normal((5, 3))
-    w = gen.standard_normal((5, 4))
+    x = gen.standard_normal((5, 3)).T
+    w = gen.standard_normal((5, 4)).T
 
     def loss():
         _zero(layer.params())
@@ -37,30 +37,33 @@ def check_dense(seed=0):
 
 
 def check_lstm(seed=0):
+    """Five steps of one branch, then five of two branches that start from
+    the first branch's state, as in DINE's unroll."""
     gen = np.random.default_rng(seed)
     cell = LstmCell(2, 4, gen, name="gc.lstm")
-    steps = 5
-    xs = gen.standard_normal((steps, 3, 2))
-    w = gen.standard_normal((steps, 3, 4))
+    B, report = 3, {}
+    for k in (1, 2):
+        xs = gen.standard_normal((5, k * B, 2))
+        w = gen.standard_normal((5, k * B, 4)).transpose(0, 2, 1)
 
-    def loss():
-        _zero(cell.params())
-        h, c = cell.zero_state(3)
-        caches = []
-        total = 0.0
-        hs = []
-        for i in range(steps):
-            h, c, cache = cell.step(xs[i], h, c)
-            caches.append(cache)
-            hs.append(h)
-            total += float(np.sum(h * w[i].T))
-        dh = np.zeros_like(h)
-        dc = np.zeros_like(c)
-        for i in reversed(range(steps)):
-            _, dh, dc = cell.backward_step(caches[i], dh + w[i].T, dc)
-        return total
+        def loss():
+            _zero(cell.params())
+            h, c = cell.zero_state(B)
+            caches, total = [], 0.0
+            for x, wi in zip(xs, w):
+                h2, c2, cache = cell.step(x, h, c)
+                caches.append(cache)
+                total += float(np.sum(h2 * wi))
+                h, c = h2[:, :B], c2[:, :B]
+            dh, dc = np.zeros_like(h), np.zeros_like(c)
+            for cache, dh2 in zip(caches[::-1], w[::-1].copy()):
+                dh2[:, :B] += dh
+                _, dh, dc = cell.backward_step(cache, dh2, dc)
+            return total
 
-    return grad_check(loss, cell.params())
+        report.update({f"{name}[k={k}]": err for name, err
+                       in grad_check(loss, cell.params()).items()})
+    return report
 
 
 def check_dine(seed=0):

@@ -48,39 +48,39 @@ class NdtModel:
                 raise ValueError("feedback input passed to a feedforward model")
             inp = noise
         h2, c2, lc = self.cell.step(inp, h, c)
-        mid, d1c = self.dense1.forward(h2.T)
+        mid, d1c = self.dense1.forward(h2)
         raw, d2c = self.dense2.forward(mid)
         cache = (lc, d1c, d2c) if need_cache else None
-        return raw, h2, c2, cache
+        return raw.T, h2, c2, cache
 
     def backward_step(self, cache, draw, dh_carry, dc_carry):
         """Reverse one step; returns (dfb, dh_prev, dc_prev)."""
         lc, d1c, d2c = cache
-        dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw)).T
-        dh = dh + dh_carry
+        dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw.T))
+        dh += dh_carry
         dinp, dh_prev, dc_prev = self.cell.backward_step(lc, dh, dc_carry)
         dfb = dinp[:, self.x_dim:] if self.feedback else None
         return dfb, dh_prev, dc_prev
 
 
-def power_normalize(raw, power, eps=1e-12, out=None):
+def power_normalize(raw, power, out=None):
     """Scale a whole (B, T, d) batch so its empirical mean square equals power.
 
     Differentiable; gradient flows through both the samples and the batch
-    statistic. An all-zero batch maps to zero output. The result is written
-    to ``out`` if given, which may be ``raw`` itself when no backward pass
-    follows.
+    statistic. An all-zero batch maps to zero output and zero gradient. The
+    result is written to ``out`` if given, which may be ``raw`` itself when
+    no backward pass follows.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
     raw = np.asarray(raw, dtype=np.float64)
     ms = float(np.mean(raw * raw))
-    scale = np.sqrt(power / (ms + eps))
-    return np.multiply(raw, scale, out=out), (raw, ms, scale, power, eps)
+    scale = np.sqrt(power / ms) if ms > 0 else 0.0
+    return np.multiply(raw, scale, out=out), (raw, ms, scale)
 
 
 def power_normalize_backward(cache, dx):
-    raw, ms, scale, power, eps = cache
+    raw, ms, scale = cache
     dscale = float(np.sum(dx * raw))
-    dms = -0.5 * dscale * scale / (ms + eps)
+    dms = -0.5 * dscale * scale / ms if ms > 0 else 0.0
     return dx * scale + dms * 2.0 * raw / raw.size

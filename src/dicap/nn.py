@@ -53,11 +53,8 @@ def uniform_init(rng, shape, fan_in):
 
 
 class Dense:
-    """Affine layer with an optional tanh activation.
-
-    Accepts inputs of shape (..., in_dim); the leading axes are flattened
-    internally and restored on output.
-    """
+    """Affine layer with an optional tanh activation, feature-major like the
+    LSTM state: inputs are (in_dim, N) and outputs (out_dim, N)."""
 
     def __init__(self, in_dim, out_dim, activation="tanh", rng=None, name="dense"):
         if activation not in ("linear", "tanh"):
@@ -74,30 +71,26 @@ class Dense:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_dim:
+        if x.shape[0] != self.in_dim:
             raise ValueError(
-                f"dense input dim {x.shape[-1]} != expected {self.in_dim}")
-        lead = x.shape[:-1]
-        xf = x.reshape(-1, self.in_dim)
-        z = xf @ self.W.value + self.b.value
+                f"dense input dim {x.shape[0]} != expected {self.in_dim}")
+        out = self.W.value.T @ x
+        out += self.b.value[:, None]
         if self.activation == "tanh":
-            out = np.tanh(z)
-        else:
-            out = z
-        cache = (xf, out)
-        return out.reshape(*lead, self.out_dim), cache
+            np.tanh(out, out=out)
+        return out, (x, out)
 
     def backward(self, cache, dout):
-        xf, out = cache
-        df = np.asarray(dout, dtype=np.float64).reshape(-1, self.out_dim)
+        x, out = cache
+        dz = dout
         if self.activation == "tanh":
-            dz = df * (1.0 - out * out)
-        else:
-            dz = df
-        self.W.grad += xf.T @ dz
-        self.b.grad += dz.sum(axis=0)
-        dx = dz @ self.W.value.T
-        return dx.reshape(*dout.shape[:-1], self.in_dim)
+            dz = out * out
+            np.subtract(1.0, dz, out=dz)
+            dz *= dout
+        self.W.grad += x @ dz.T
+        self.b.grad += dz.sum(axis=1)
+        # an outer product (out_dim 1) is faster by broadcasting than by BLAS
+        return self.W.value * dz if self.out_dim == 1 else self.W.value @ dz
 
 
 class LstmCell:
@@ -107,7 +100,9 @@ class LstmCell:
     the stacked column [x; h; 1], so its last row is the bias. Gate columns
     are ordered [input, forget, output, candidate]: the three sigmoid gates
     form one block. The state h, c is feature-major, (hidden, batch), so each
-    gate is a contiguous block of rows. Forget-gate bias starts at 1.0.
+    gate is a contiguous block of rows. A step may run k branches from one
+    state in one product; their h and c gradients are summed in backward.
+    Forget-gate bias starts at 1.0.
     """
 
     def __init__(self, in_dim, hidden, rng=None, name="lstm"):
@@ -131,16 +126,20 @@ class LstmCell:
         return (np.zeros((self.hidden, batch)), np.zeros((self.hidden, batch)))
 
     def step(self, x, h, c):
-        """One step on a batch: x (B, in_dim), h/c (hidden, B)."""
+        """One step of k branches from one state: x (k * B, in_dim), branch
+        after branch, and h, c (hidden, B). Returns h2, c2 (hidden, k * B)."""
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"lstm input dim {x.shape[-1]} != expected {self.in_dim}")
-        if h.shape[0] != self.hidden or c.shape[0] != self.hidden:
+        if h.shape[0] != self.hidden or c.shape != h.shape:
             raise ValueError("lstm state dim mismatch")
-        n, H = self.in_dim, self.hidden
-        s = np.empty((n + H + 1, x.shape[0]))
+        n, H, B = self.in_dim, self.hidden, h.shape[1]
+        k, rest = divmod(x.shape[0], B)
+        if rest or not k:
+            raise ValueError(f"{x.shape[0]} input rows are not branches of {B}")
+        s = np.empty((n + H + 1, k * B))
         s[:n] = x.T
-        s[n:-1] = h
+        s[n:-1].reshape(H, k, B)[:] = h[:, None]
         s[-1] = 1.0
         z = self.W.value.T @ s
         sig = z[:3 * H]
@@ -152,7 +151,8 @@ class LstmCell:
         np.reciprocal(sig, out=sig)
         np.tanh(z[3 * H:], out=z[3 * H:])
         i, f, o, g = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
-        c2 = f * c + i * g
+        c2 = (f.reshape(H, k, B) * c[:, None]).reshape(H, k * B)
+        c2 += i * g
         tc2 = np.tanh(c2)
         h2 = o * tc2
         return h2, c2, (s, c, z, tc2)
@@ -160,22 +160,39 @@ class LstmCell:
     def backward_step(self, cache, dh2, dc2):
         """Reverse one step; returns (dx, dh, dc) and accumulates param grads.
 
-        dx is (B, in_dim); dh and dc are (hidden, B)."""
+        dh2 is (hidden, k * B); dc2 is (hidden, B), the gradient of the first
+        branch's c2, the only one a recursion carries. dx is (k * B, in_dim);
+        dh and dc are (hidden, B), summed over the branches."""
         s, c, z, tc2 = cache
-        H = self.hidden
+        n, H, B = self.in_dim, self.hidden, c.shape[1]
+        k = z.shape[1] // B
         i, f, o, g = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
-        dc_tot = dc2 + dh2 * o * (1.0 - tc2 * tc2)
+        dc_tot = dh2 * o
+        d = tc2 * tc2
+        np.subtract(1.0, d, out=d)
+        dc_tot *= d
+        dc_tot[:, :B] += dc2
         dz = np.empty_like(z)
         np.multiply(dc_tot, g, out=dz[:H])
-        np.multiply(dc_tot, c, out=dz[H:2 * H])
+        np.multiply(dc_tot.reshape(H, k, B), c[:, None],
+                    out=dz[H:2 * H].reshape(H, k, B))
         np.multiply(dh2, tc2, out=dz[2 * H:3 * H])
         sig = z[:3 * H]
-        dz[:3 * H] *= sig * (1.0 - sig)
+        d = 1.0 - sig
+        d *= sig
+        dz[:3 * H] *= d
         np.multiply(dc_tot, i, out=dz[3 * H:])
-        dz[3 * H:] *= 1.0 - g * g
-        self.W.grad += s @ dz.T
-        dxh = self.W.value[:-1] @ dz
-        return dxh[:self.in_dim].T, dxh[self.in_dim:], dc_tot * f
+        d = g * g
+        np.subtract(1.0, d, out=d)
+        dz[3 * H:] *= d
+        dc_tot *= f
+        # h, the bias and c are shared: their rows see the branch sum
+        dzs = np.einsum("rkb->rb", dz.reshape(4 * H, k, B)) if k > 1 else dz
+        dc = np.einsum("rkb->rb", dc_tot.reshape(H, k, B)) if k > 1 else dc_tot
+        W, dW = self.W.value, self.W.grad
+        dW[:n] += s[:n] @ dz.T
+        dW[n:] += s[n:, :B] @ dzs.T
+        return (W[:n] @ dz).T, W[n:-1] @ dzs, dc
 
 
 def global_norm(params):

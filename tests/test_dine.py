@@ -99,6 +99,56 @@ def test_shared_input_matches_joint_input():
         pot.forward(y, y_ref, shared=x[:, :3])
 
 
+def _concatenated_unroll(pot, true_in, ref_in, dt_true, dt_ref):
+    """DINE's unroll as one-branch cell steps on the state copied to both
+    branches; returns the potentials and the input gradients."""
+    B, T, _ = true_in.shape
+    cell, H = pot.cell, pot.hidden
+    h, c = cell.zero_state(2 * B)
+    t_true, t_ref, caches = np.empty((B, T)), np.empty((B, T)), []
+    for i in range(T):
+        x2 = np.concatenate([true_in[:, i], ref_in[:, i]])
+        h2, c2, lc = cell.step(x2, h, c)
+        mid, hc1 = pot.head1.forward(h2)
+        t2, hc2 = pot.head2.forward(mid)
+        t_true[:, i], t_ref[:, i] = t2[0, :B], t2[0, B:]
+        caches.append((lc, hc1, hc2))
+        h = np.hstack([h2[:, :B], h2[:, :B]])
+        c = np.hstack([c2[:, :B], c2[:, :B]])
+    d_true, d_ref = np.empty_like(true_in), np.empty_like(ref_in)
+    dh_carry, dc_carry = np.zeros((H, B)), np.zeros((H, B))
+    for i in reversed(range(T)):
+        lc, hc1, hc2 = caches[i]
+        dt2 = np.concatenate([dt_true[:, i], dt_ref[:, i]])[None]
+        dh2 = pot.head1.backward(hc1, pot.head2.backward(hc2, dt2))
+        dh2[:, :B] += dh_carry
+        dc2 = np.zeros((H, 2 * B))
+        dc2[:, :B] = dc_carry
+        dx, dh, dc = cell.backward_step(lc, dh2, dc2)
+        d_true[:, i], d_ref[:, i] = dx[:B], dx[B:]
+        dh_carry = dh[:, :B] + dh[:, B:]
+        dc_carry = dc[:, :B] + dc[:, B:]
+    return t_true, t_ref, d_true, d_ref
+
+
+def test_unroll_matches_concatenated_state():
+    gen = np.random.default_rng(21)
+    pot = DinePotential(2, hidden=5, head_hidden=4,
+                        gen=np.random.default_rng(3))
+    by_hand = DinePotential(2, hidden=5, head_hidden=4,
+                            gen=np.random.default_rng(3))
+    true_in = gen.standard_normal((3, 6, 2))
+    ref_in = gen.standard_normal((3, 6, 2))
+    t_true, t_ref, caches = pot.forward(true_in, ref_in)
+    _, dt_true, dt_ref = dv_value(t_true, t_ref)
+    d_true, d_ref = pot.backward(caches, dt_true, dt_ref)
+    want = _concatenated_unroll(by_hand, true_in, ref_in, dt_true, dt_ref)
+    for got, ref in zip((t_true, t_ref, d_true, d_ref), want):
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+    for p, q in zip(pot.params(), by_hand.params()):
+        assert np.allclose(p.grad, q.grad, rtol=1e-12, atol=1e-15), p.name
+
+
 def test_reference_isolation():
     # perturbing any reference sample must not change true-path potentials
     gen = np.random.default_rng(5)

@@ -67,7 +67,7 @@ def test_causality_with_feedback():
         for i in range(8):
             raw, h, c, _ = ndt.step(n[:, i], fb, h, c, need_cache=False)
             m = float(np.mean(raw * raw))
-            x = raw * np.sqrt(ndt.power / (m + 1e-12))
+            x = raw * np.sqrt(ndt.power / m)
             fb = x + zmat[:, i]
             xs.append(x)
         return np.stack(xs, axis=1)
@@ -105,6 +105,56 @@ def test_power_normalize_hits_budget():
 def test_power_normalize_zero_batch():
     out, _ = power_normalize(np.zeros((2, 3, 1)), 1.0)
     assert np.all(out == 0.0)
+
+
+def test_power_normalize_zero_batch_backward():
+    raw = np.zeros((2, 3, 1))
+    with np.errstate(all="raise"):
+        out, cache = power_normalize(raw, 1.0)
+        d = power_normalize_backward(cache, np.ones_like(raw))
+    assert np.all(d == 0.0)
+
+
+@pytest.mark.parametrize("mean_square", [1e-4, 1e-9])
+def test_power_normalize_exact_for_small_outputs(mean_square):
+    raw = np.random.default_rng(9).standard_normal((64, 20, 1))
+    raw *= np.sqrt(mean_square / np.mean(raw * raw))
+    out, _ = power_normalize(raw, 1.0)
+    assert abs(np.mean(out * out) - 1.0) < 1e-14
+
+
+def _raw_mean_square(ndt, rng, batch, steps):
+    """Mean square of the raw generator outputs of ``rollout`` with the
+    streams ``n`` and ``c`` of ``rng`` (fb_norm_decay 0)."""
+    from dicap.channels import draw_noise
+    z = draw_noise(ChannelSpec("awgn"), batch, steps, rng.stream("c"))
+    n = rng.stream("n").standard_normal((batch, steps, 1))
+    h, c = ndt.zero_state(batch)
+    fb = np.zeros((batch, 1)) if ndt.feedback else None
+    total = 0.0
+    for i in range(steps):
+        raw, h, c, _ = ndt.step(n[:, i], fb, h, c, need_cache=False)
+        ms = float(np.mean(raw * raw))
+        if ndt.feedback:
+            fb = raw * np.sqrt(ndt.power / ms) + z[:, i]
+        total += ms
+    return total / steps
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+@pytest.mark.parametrize("mean_square", [1e-4, 1e-9])
+def test_rollout_power_exact_for_small_raw_outputs(feedback, mean_square):
+    # dense2 is linear, so scaling it scales the raw outputs; the normalized
+    # outputs, and so the fed-back ones, do not depend on that scale
+    rng = Rng(13)
+    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, feedback=feedback,
+                   gen=rng.stream("init"))
+    ndt.dense2.W.value *= np.sqrt(
+        mean_square / _raw_mean_square(ndt, rng, 16, 12))
+    assert _raw_mean_square(ndt, rng, 16, 12) == pytest.approx(mean_square)
+    ro = rollout(ndt, ChannelSpec("awgn"), 16, 12, rng.stream("n"),
+                 rng.stream("c"), need_cache=False)
+    assert abs(ro.realized_power - 1.0) < 1e-14
 
 
 def test_power_normalize_backward_matches_finite_differences():

@@ -20,7 +20,7 @@ def test_dense_identity():
     layer = Dense(2, 2, "linear")
     layer.W.value[:] = np.eye(2)
     layer.b.value[:] = 0.0
-    x = np.array([[1.5, -2.0]])
+    x = np.array([[1.5], [-2.0]])
     out, _ = layer.forward(x)
     assert np.array_equal(out, x)
 
@@ -29,8 +29,8 @@ def test_dense_constant_bias():
     layer = Dense(3, 2, "linear")
     layer.W.value[:] = 0.0
     layer.b.value[:] = [4.0, -1.0]
-    out, _ = layer.forward(np.random.default_rng(0).standard_normal((6, 3)))
-    assert np.allclose(out, [4.0, -1.0])
+    out, _ = layer.forward(np.random.default_rng(0).standard_normal((3, 6)))
+    assert np.allclose(out, [[4.0], [-1.0]])
 
 
 def test_dense_shape_mismatch():
@@ -42,7 +42,7 @@ def test_dense_shape_mismatch():
 def test_dense_gradient_matches_finite_differences():
     gen = np.random.default_rng(3)
     layer = Dense(3, 4, "linear", gen)
-    x = gen.standard_normal((5, 3))
+    x = gen.standard_normal((5, 3)).T
 
     def loss():
         for p in layer.params():
@@ -167,6 +167,41 @@ def test_lstm_matches_textbook_reference_cell():
         assert np.allclose(dx, rdx, rtol=1e-9, atol=0)
     for got, want in zip(_unfused(cell.W.grad, 2), (ref.dWx, ref.dWh, ref.db)):
         assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_lstm_two_branches_match_two_single_steps():
+    # a k = 2 step from one state is two k = 1 steps from that state; its
+    # backward sums their h and c gradients and accumulates their W grads
+    gen = np.random.default_rng(12)
+    cell = LstmCell(2, 4, gen)
+    one = LstmCell(2, 4, np.random.default_rng(12))
+    B = 3
+    x = gen.standard_normal((2 * B, 2))
+    h, c = gen.standard_normal((4, B)), gen.standard_normal((4, B))
+    h2, c2, cache = cell.step(x, h, c)
+    ha, ca, cache_a = one.step(x[:B], h, c)
+    hb, cb, cache_b = one.step(x[B:], h, c)
+    assert h2.shape == c2.shape == (4, 2 * B)
+    assert np.allclose(h2, np.hstack([ha, hb]), rtol=0, atol=1e-15)
+    assert np.allclose(c2, np.hstack([ca, cb]), rtol=0, atol=1e-15)
+
+    dh2 = gen.standard_normal((4, 2 * B))
+    dc2 = gen.standard_normal((4, B))
+    dx, dh, dc = cell.backward_step(cache, dh2, dc2)
+    dxa, dha, dca = one.backward_step(cache_a, dh2[:, :B], dc2)
+    dxb, dhb, dcb = one.backward_step(cache_b, dh2[:, B:], np.zeros((4, B)))
+    assert dh.shape == dc.shape == (4, B)
+    assert np.allclose(dh, dha + dhb, rtol=0, atol=1e-15)
+    assert np.allclose(dc, dca + dcb, rtol=0, atol=1e-15)
+    assert np.allclose(dx, np.vstack([dxa, dxb]), rtol=0, atol=1e-15)
+    assert np.allclose(cell.W.grad, one.W.grad, rtol=1e-12, atol=0)
+
+
+def test_lstm_step_rejects_rows_that_are_not_branches():
+    cell = LstmCell(2, 3)
+    h, c = cell.zero_state(4)
+    with pytest.raises(ValueError):
+        cell.step(np.zeros((6, 2)), h, c)
 
 
 def test_lstm_init_reproduces_separate_draws():
