@@ -119,8 +119,9 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048,
     ``evaluate_chunks`` cuts the sequences into chunks; chunk k is rolled
     out from its own streams ``Rng(seed).stream(f"eval/{k}/ndt-noise")`` and
     ``.../channel``, with power normalization over the chunk, in the process
-    that scores it. Returns (estimate, d_y, d_yx, realized_power, actual
-    sample count).
+    that scores it against the box of its own outputs, and is dropped before
+    the next is rolled out. Returns (estimate, d_y, d_yx, realized_power,
+    actual sample count).
     """
     n_seq = -(-samples // seq_len)
     est, vy, vyx, sumsq = evaluate_chunks(dine, seed, n_seq, _rollout_chunk,

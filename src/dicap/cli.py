@@ -183,18 +183,26 @@ def cmd_capacity(family, alpha, power, feedback, config_path, out_dir, **kw):
 
 @main.command("di-estimate")
 @click.argument("csv_path", type=click.Path(exists=True))
-@click.option("--batch-size", type=int, default=32, show_default=True)
-@click.option("--seq-len", type=int, default=64, show_default=True)
-@click.option("--iters", type=int, default=5000, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=32,
+              show_default=True)
+@click.option("--seq-len", type=click.IntRange(min=1), default=64,
+              show_default=True)
+@click.option("--iters", type=click.IntRange(min=1), default=5000,
+              show_default=True)
 @click.option("--lr", type=float, default=1e-4, show_default=True)
-@click.option("--hidden", type=int, default=64, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--hidden", type=click.IntRange(min=1), default=64,
+              show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--random-starts/--disjoint-blocks", default=False,
               show_default=True, help="How training windows are drawn.")
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
                     random_starts, out_dir):
     """Estimate the DI rate of a trajectory file; writes curve and summary."""
+    # click.FloatRange lets nan and inf through
+    if not (math.isfinite(lr) and lr > 0):
+        raise click.UsageError("--lr must be finite and positive")
     try:
         x, y = read_trajectory_csv(csv_path)
     except TrajectoryFormatError as err:

@@ -330,31 +330,23 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
 
     The ``n_seq`` sequences are cut into chunks of ``_CHUNK_SEQS`` (the last
     may be shorter), and the chunks into contiguous blocks, one per process
-    of ``helpers``. ``load(*args, k, n, *rows) -> (x, y)`` runs in the
-    process that scores chunk k of n sequences; ``rows`` are the chunk's
-    rows of the arrays in ``data``. A first ``run_blocks`` pass loads and
-    keeps the chunks and returns per chunk the sum of x² and the range of
-    y; the box fitted to the ranges is the box of all outputs. A second
-    pass scores the kept chunks, one forward pass of each potential per
-    chunk, with chunk k's reference stream
-    ``Rng(seed).stream(f"eval/{k}/reference")``, and the DV terms are
-    combined in chunk order. A chunk is computed the same way in any
-    process, so the result does not depend on the worker count. Returns
-    (estimate, d_y, d_yx, sum of x²).
+    of ``helpers``, scored in one ``run_blocks`` pass. ``load(*args, k, n,
+    *rows) -> (x, y)`` runs in the process that scores chunk k of n
+    sequences; ``rows`` are the chunk's rows of the arrays in ``data``. As
+    in training, a chunk's reference is uniform on the box fitted to its
+    own outputs, here drawn from ``Rng(seed).stream(f"eval/{k}/reference")``.
+    The DV terms are combined in chunk order, so the result does not depend
+    on the worker count. Returns (estimate, d_y, d_yx, sum of x²).
     """
-    mine = {}
     with helpers() as pool:
-        blocks = _cut(n_seq, len(pool) + 1)
         items = [[(k, rows.stop - rows.start, *(a[rows] for a in data))
-                  for k, rows in block] for block in blocks]
-        stats = run_blocks(mine, _load_chunks, items, load, args)
-        box = model.fit_box(np.concatenate([y_range for _, y_range in stats]))
-        ks = [[k for k, _ in block] for block in blocks]
-        terms = run_blocks(mine, _score_chunks, ks, model, box, seed)
-    vy = dv_combine([ty for ty, _ in terms])
-    vyx = dv_combine([tyx for _, tyx in terms])
+                  for k, rows in block]
+                 for block in _cut(n_seq, len(pool) + 1)]
+        scored = run_blocks(_score_chunks, items, model, seed, load, args)
+    vy = dv_combine([ty for ty, _, _ in scored])
+    vyx = dv_combine([tyx for _, tyx, _ in scored])
     sumsq = 0.0
-    for chunk_sumsq, _ in stats:    # not sum(): 3.12 compensates float sums
+    for _, _, chunk_sumsq in scored:  # not sum(): 3.12 compensates float sums
         sumsq += chunk_sumsq
     return vyx - vy, vy, vyx, sumsq
 
@@ -373,30 +365,22 @@ def _cut(n_seq, n_blocks):
     return [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _load_chunks(state, load, args, items):
-    """Load the chunks of one block and keep them in ``state``; returns per
-    chunk the sum of x² and the range of y."""
-    state["chunks"] = [load(*args, *item) for item in items]
-    return [(float(np.sum(x * x)), np.stack([y.min((0, 1)), y.max((0, 1))]))
-            for x, y in state["chunks"]]
+def _score_chunks(state, model, seed, load, args, items):
+    """``_score_chunk`` on each chunk of a block, loaded in its turn."""
+    return [_score_chunk(model, seed, item[0], *load(*args, *item))
+            for item in items]
 
 
-def _score_chunks(state, model, box, seed, ks):
-    """DV terms of both potentials on each chunk k of ``ks`` that
-    ``_load_chunks`` kept for the same block; a chunk is dropped once
-    scored."""
-    chunks = state.pop("chunks")
-    return [_score_chunk(model, box, seed, k, *chunks.pop(0)) for k in ks]
-
-
-def _score_chunk(model, box, seed, k, x, y):
+def _score_chunk(model, seed, k, x, y):
+    """DV terms of both potentials and the sum of x² on chunk k."""
     B, T, _ = y.shape
-    y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
+    y_ref = model.fit_box(y).sample(Rng(seed).stream(f"eval/{k}/reference"),
+                                    B, T)
     ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
     terms_y = dv_terms(ty, tr)
     del ty, tr          # freed before pot_yx runs
     tyx, trx, _ = model.pot_yx.forward(y, y_ref, need_cache=False, shared=x)
-    return terms_y, dv_terms(tyx, trx)
+    return terms_y, dv_terms(tyx, trx), float(np.sum(x * x))
 
 
 def usable_cpus():
@@ -524,17 +508,17 @@ def helpers():
         _POOL.reset(token)
 
 
-def run_blocks(state, fn, blocks, *args):
+def run_blocks(fn, blocks, *args):
     """Run ``fn(state, *args, block)`` on every block of ``blocks``, one per
-    process of ``helpers``, at once: the first block here with ``state``,
-    the others in the helpers with their own state. Returns the result
+    process of ``helpers``, at once: the first block here with a fresh
+    ``state``, the others in the helpers with theirs. Returns the result
     lists joined in block order. The earliest block's error is raised, as in
     a serial run; it leaves replies unread, so it must end the outermost
     ``helpers`` block, which kills the helpers."""
     with helpers() as pool:
         for helper, block in zip(pool, blocks[1:]):
             helper.send(fn, *args, block)
-        out = fn(state, *args, blocks[0])
+        out = fn({}, *args, blocks[0])
         for helper in pool:
             out += helper.receive()
         return out

@@ -31,16 +31,15 @@ def started_helpers(monkeypatch):
 
 def _reference_estimate(model, chunks, seed):
     """The final evaluation of ``chunks``, a list of (x, y) per chunk, by
-    hand: the box of all outputs, chunk k's reference stream, pot_yx on the
-    joint sequences, and DV terms per chunk combined in chunk order."""
+    hand: per chunk the box of its own outputs and its reference stream,
+    pot_yx on the joint sequences, and DV terms combined in chunk order."""
     import numpy as np
     from dicap.dine import dv_combine, dv_terms, fit_reference
     from dicap.nn import Rng
-    box = fit_reference(np.concatenate([y for _, y in chunks]),
-                        model.ref_margin)
     terms_y, terms_yx = [], []
     for k, (x, y) in enumerate(chunks):
         B, T, _ = y.shape
+        box = fit_reference(y, model.ref_margin)
         y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
         ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
         terms_y.append(dv_terms(ty, tr))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ def test_monte_carlo_same_for_any_cpu_count_with_odd_chunks(monkeypatch,
             model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
             seq_len=99, fb_norm_decay=0.5 if feedback else 0.0))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_evaluation_memory_does_not_grow_with_chunks(monkeypatch, feedback):
+    # a process rolls out, scores and drops one chunk at a time, so 8 chunks
+    # of 64 sequences take no more memory than 2
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 1)
+    rng = Rng(12)
+    model = DineModel(1, 1, hidden=8, head_hidden=8, rng=rng)
+    ndt = NdtModel(1, 1, hidden=8, dense_hidden=8, feedback=feedback,
+                   gen=rng.stream("ndt"))
+    peaks = []
+    for n_seq in (128, 512):
+        tracemalloc.start()
+        try:
+            monte_carlo_eval(model, ndt, ChannelSpec("ma1", alpha=0.5),
+                             n_seq * 400, seed=13, seq_len=400,
+                             fb_norm_decay=0.5 if feedback else 0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -174,6 +174,20 @@ def test_di_estimate_too_short_file(runner, tmp_path):
     assert "rows" in res.output
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--seq-len", "0"), ("--seq-len", "-5"), ("--batch-size", "0"),
+    ("--batch-size", "-3"), ("--iters", "0"), ("--iters", "-1"),
+    ("--hidden", "0"), ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan"),
+    ("--lr", "inf"), ("--seed", "-1")])
+def test_di_estimate_bad_option_is_usage_error(runner, tmp_path, option,
+                                               value):
+    res = runner.invoke(main, ["di-estimate", str(_tiny_trajectory(tmp_path)),
+                               option, value, "--out-dir", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+    assert not (tmp_path / "dine_summary_traj.json").exists()
+
+
 def _tiny_trajectory(tmp_path):
     gen = Rng(5).stream("file")
     x = gen.standard_normal((1024, 1))

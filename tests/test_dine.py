@@ -320,7 +320,10 @@ def test_dine_estimate_matches_reference(monkeypatch, reference_estimate):
     gen = np.random.default_rng(18)
     x = gen.standard_normal((150, 30, 1))
     y = x + gen.standard_normal((150, 30, 1))
-    # 150 sequences in chunks of 64: the last chunk holds 22
+    # 150 sequences in chunks of 64: the last chunk holds 22; the second
+    # chunk's outputs are 10 times wider, so the boxes of the other two are
+    # far from the box of all outputs
+    y[64:128] *= 10.0
     chunks = [(x[s:s + 64], y[s:s + 64]) for s in range(0, 150, 64)]
     want = reference_estimate(model, chunks, seed=19)
     for cpus in (1, 2, 3):
