@@ -8,7 +8,6 @@ rates of jointly Gaussian open-loop systems.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,8 +99,8 @@ def ma1_fb_capacity(power, alpha):
     The quartic form holds for |alpha| <= 1. The noise spectrum for alpha is
     alpha^2 times the one for 1/alpha, so a channel with |alpha| > 1 is
     solved as the equivalent one with (power / alpha^2, 1 / alpha). The
-    quartic form is validated separately (see :func:`fb_baseline_trusted`)
-    before being relied on.
+    tests check the form on a grid: alpha = 0 reduces to the memoryless
+    capacity and feedback capacity is never below feedforward capacity.
     """
     if power <= 0:
         raise ValueError("power must be positive")
@@ -120,33 +119,6 @@ def ma1_fb_capacity(power, alpha):
             lo = mid
     x0 = 0.5 * (lo + hi)
     return Ma1FbSolution(x0, -np.log(x0))
-
-
-@lru_cache(maxsize=1)
-def fb_baseline_trusted():
-    """Validation gate for the feedback-capacity quartic.
-
-    Checks that the alpha=0 reduction reproduces the memoryless capacity and
-    that feedback capacity dominates feedforward capacity on a grid. Returns
-    (trusted, diagnostics).
-    """
-    diags = []
-    ok = True
-    for p in (0.25, 0.5, 1.0, 2.0, 4.0):
-        got = ma1_fb_capacity(p, 0.0).capacity_nats
-        want = awgn_capacity(p, 1.0)
-        if abs(got - want) > 1e-9:
-            ok = False
-            diags.append(f"alpha=0 reduction mismatch at P={p}: {got} vs {want}")
-    for p in (0.25, 0.5, 1.0, 2.0, 4.0):
-        for a in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.5, -1.5,
-                  2.0, -2.0, 3.0, -3.0):
-            fb = ma1_fb_capacity(p, a).capacity_nats
-            ff = ma1_ff_capacity(p, a).capacity_nats
-            if fb < ff - 1e-9:
-                ok = False
-                diags.append(f"FB < FF at P={p}, alpha={a}: {fb} vs {ff}")
-    return ok, tuple(diags)
 
 
 def ma1_noise_covariance(n, alpha):

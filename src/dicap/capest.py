@@ -45,7 +45,6 @@ class TrainConfig:
     ndt_hidden: int = 64
     ref_margin: float = 0.05
     clip_norm: float = 1.0
-    fb_norm_decay: float = 0.0
 
     def validate(self):
         for f in fields(self):
@@ -67,8 +66,6 @@ class TrainConfig:
             raise ValueError("warmup, ref_margin and seed must be nonnegative")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive or None")
-        if not 0.0 <= self.fb_norm_decay < 1.0:
-            raise ValueError("fb_norm_decay must be in [0, 1)")
         if self.eval_samples < 10 ** 5:
             raise ValueError("eval_samples must be at least 1e5")
 
@@ -99,21 +96,15 @@ class EstimateReport:
 
 
 def baseline_for(spec, power, feedback):
-    """Analytic capacity for the given channel, or None if unavailable."""
+    """Analytic capacity for the given channel."""
     if spec.family == "awgn":
         return baselines.awgn_capacity(power, spec.sigma2)
-    if spec.family == "ma1":
-        if feedback:
-            trusted, _ = baselines.fb_baseline_trusted()
-            if not trusted:
-                return None
-            return baselines.ma1_fb_capacity(power, spec.alpha).capacity_nats
-        return baselines.ma1_ff_capacity(power, spec.alpha).capacity_nats
-    return None
+    if feedback:
+        return baselines.ma1_fb_capacity(power, spec.alpha).capacity_nats
+    return baselines.ma1_ff_capacity(power, spec.alpha).capacity_nats
 
 
-def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048,
-                     fb_norm_decay=0.0):
+def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048):
     """Long evaluation with frozen models: fresh rollouts totaling ``samples``.
 
     ``evaluate_chunks`` cuts the sequences into chunks; chunk k is rolled
@@ -125,18 +116,16 @@ def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048,
     """
     n_seq = -(-samples // seq_len)
     est, vy, vyx, sumsq = evaluate_chunks(dine, seed, n_seq, _rollout_chunk,
-                                          ndt, spec, seq_len, seed,
-                                          fb_norm_decay)
+                                          ndt, spec, seq_len, seed)
     count = n_seq * seq_len
     return est, vy, vyx, sumsq / count, count
 
 
-def _rollout_chunk(ndt, spec, seq_len, seed, fb_norm_decay, k, n_seq):
+def _rollout_chunk(ndt, spec, seq_len, seed, k, n_seq):
     """Channel inputs and outputs of the n_seq sequences of chunk k."""
     rng = Rng(seed)
     ro = rollout(ndt, spec, n_seq, seq_len, rng.stream(f"eval/{k}/ndt-noise"),
-                 rng.stream(f"eval/{k}/channel"), need_cache=False,
-                 fb_norm_decay=fb_norm_decay)
+                 rng.stream(f"eval/{k}/channel"), need_cache=False)
     return ro.x, ro.y
 
 
@@ -155,11 +144,10 @@ def estimate_capacity(spec, config):
     noise_gen = rng.stream("ndt-noise")
     chan_gen = rng.stream("channel")
     B, T = config.batch_size, config.seq_len
-    decay = config.fb_norm_decay
 
     def fresh(need_cache):
         return rollout(ndt, spec, B, T, noise_gen, chan_gen,
-                       need_cache=need_cache, fb_norm_decay=decay)
+                       need_cache=need_cache)
 
     curve = []
     failed = False
@@ -184,7 +172,7 @@ def estimate_capacity(spec, config):
                     curve.append((it, vy, vyx, obj, ro.realized_power))
             est, vy, vyx, realized, count = monte_carlo_eval(
                 dine, ndt, spec, config.eval_samples, config.seed + 1,
-                config.eval_seq_len, decay)
+                config.eval_seq_len)
     except GradientError as err:
         failed = True
         reason = str(err)
@@ -192,7 +180,7 @@ def estimate_capacity(spec, config):
         count = 0
 
     base = baseline_for(spec, config.power, config.feedback)
-    rel = None if base in (None, 0.0) or failed else abs(est - base) / base
+    rel = None if base == 0.0 or failed else abs(est - base) / base
     report = EstimateReport(
         capacity_nats=max(est, 0.0),
         capacity_bits=max(est, 0.0) / LN2,
@@ -213,19 +201,3 @@ def estimate_capacity(spec, config):
     )
     return report, dine, ndt
 
-
-def curve_summary(values, window=100):
-    """Moving-average smoothing with plateau diagnostics.
-
-    Returns {peak, final, ratio} of the smoothed curve (ratio = final/peak).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("empty curve")
-    w = min(window, values.size)
-    kernel = np.full(w, 1.0 / w)
-    smoothed = np.convolve(values, kernel, mode="valid")
-    peak = float(smoothed.max())
-    final = float(smoothed[-1])
-    ratio = final / peak if peak != 0.0 else 1.0
-    return {"peak": peak, "final": final, "ratio": ratio, "window": w}

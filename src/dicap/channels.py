@@ -30,6 +30,8 @@ class ChannelSpec:
             raise ValueError("noise variance must be positive")
         if self.family == "ma1" and self.sigma2 != 1.0:
             raise ValueError("ma1 innovation variance is fixed at 1")
+        if self.family == "awgn" and self.alpha != 0.0:
+            raise ValueError("awgn has no memory: alpha must be 0")
 
 
 def draw_noise(spec, batch, steps, gen):
@@ -73,20 +75,18 @@ class Rollout:
             _open_loop_backward(self._ndt, self._caches, dx, dy)
 
 
-def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True,
-            fb_norm_decay=0.0):
+def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True):
     """Generate a batch of (x, y) trajectories through generator and channel.
 
     Without feedback the generator runs open loop and the power constraint is
     applied to the whole batch at once. With feedback, noise and the previous
-    output are interleaved per step and normalization uses causal per-step
-    batch statistics (optionally blended with an exponential running estimate
-    via ``fb_norm_decay``).
+    output are interleaved per step, and each step's samples are normalized
+    by that step's batch mean square.
     """
     z = draw_noise(spec, batch, steps, channel_gen)
     n = noise_gen.standard_normal((batch, steps, ndt.x_dim))
     if ndt.feedback:
-        return _feedback_forward(ndt, n, z, need_cache, fb_norm_decay)
+        return _feedback_forward(ndt, n, z, need_cache)
     return _open_loop_forward(ndt, n, z, need_cache)
 
 
@@ -115,48 +115,33 @@ def _open_loop_backward(ndt, caches, dx, dy):
         _, dh, dc = ndt.backward_step(step_caches[i], draw[:, i], dh, dc)
 
 
-def _feedback_forward(ndt, n, z, need_cache, decay):
+def _feedback_forward(ndt, n, z, need_cache):
     batch, steps, _ = n.shape
     h, c = ndt.zero_state(batch)
     fb = np.zeros((batch, ndt.y_dim))
-    m = ndt.power
     x = np.empty((batch, steps, ndt.x_dim))
     y = np.empty((batch, steps, ndt.y_dim))
-    raws, scales, ms = [], [], []
     caches = []
     for i in range(steps):
         raw, h, c, cache = ndt.step(n[:, i], fb, h, c, need_cache)
-        m = decay * m + (1.0 - decay) * float(np.mean(raw * raw))
-        scale = np.sqrt(ndt.power / m) if m > 0 else 0.0
-        np.multiply(raw, scale, out=x[:, i])
+        _, pcache = power_normalize(raw, ndt.power, out=x[:, i])
         fb = np.add(x[:, i], z[:, i], out=y[:, i])
         if need_cache:
-            raws.append(raw)
-            scales.append(scale)
-            ms.append(m)
-            caches.append(cache)
-    internals = (caches, raws, scales, ms, decay)
-    return Rollout(x, y, z, True, ndt, internals)
+            caches.append((cache, pcache))
+    return Rollout(x, y, z, True, ndt, caches)
 
 
-def _feedback_backward(ndt, internals, dx, dy):
-    caches, raws, scales, ms, decay = internals
+def _feedback_backward(ndt, caches, dx, dy):
     batch, steps, _ = dx.shape
     dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
     dfb_next = None  # gradient of the output fed into the next step
-    dm_carry = 0.0
     for i in reversed(range(steps)):
         dyi = dy[:, i].copy()
         if dfb_next is not None:
             dyi += dfb_next
-        dxi = dx[:, i] + dyi  # additive channel: dy/dx = 1
-        raw = raws[i]
-        scale = scales[i]
-        dscale = float(np.sum(dxi * raw))
-        dm = dscale * (-0.5) * scale / ms[i] if ms[i] > 0 else 0.0
-        dm += decay * dm_carry
-        draw = dxi * scale + dm * (1.0 - decay) * 2.0 * raw / raw.size
-        dfb_next, dh, dc = ndt.backward_step(caches[i], draw, dh, dc)
-        dm_carry = dm
-    # dm and dfb for step -1 hit constants (m0 = P, y0 = 0)
+        step_cache, pcache = caches[i]
+        # additive channel: dy/dx = 1
+        draw = power_normalize_backward(pcache, dx[:, i] + dyi)
+        dfb_next, dh, dc = ndt.backward_step(step_cache, draw, dh, dc)
+    # the fed-back output before step 0 is the constant y0 = 0

@@ -65,6 +65,10 @@ def cmd_baseline(family, alpha, power, sigma2):
     """Print the analytic capacity baselines for a channel as JSON."""
     if not all(map(math.isfinite, (alpha, power, sigma2))):
         raise click.UsageError("--alpha, --power and --sigma2 must be finite")
+    try:
+        ChannelSpec(family, sigma2=sigma2, alpha=alpha)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     out = {"family": family, "params": {"alpha": alpha, "power": power,
                                         "sigma2": sigma2}}
     try:
@@ -75,14 +79,11 @@ def cmd_baseline(family, alpha, power, sigma2):
             out["diagnostics"] = {}
         else:
             ff = baselines.ma1_ff_capacity(power, alpha)
-            trusted, diags = baselines.fb_baseline_trusted()
             out["feedforward_capacity_nats"] = ff.capacity_nats
             out["feedforward_capacity_bits"] = ff.capacity_nats / LN2
             out["diagnostics"] = {"water_level": ff.water_level,
-                                  "power_gap": ff.power_gap,
-                                  "fb_baseline_trusted": trusted,
-                                  "fb_gate": list(diags)}
-            if trusted and power > 0:
+                                  "power_gap": ff.power_gap}
+            if power > 0:
                 fb = baselines.ma1_fb_capacity(power, alpha)
                 out["feedback_capacity_nats"] = fb.capacity_nats
                 out["feedback_capacity_bits"] = fb.capacity_nats / LN2
@@ -275,7 +276,7 @@ def cmd_sweep(family, alpha, powers, feedback, config_path, out_dir, **kw):
     with open(sweep_path, "w") as fh:
         fh.write("power,estimate_nats,baseline_nats,status\n")
         for p, est, base, status in rows:
-            fh.write(f"{p},{est},{'' if base is None else base},{status}\n")
+            fh.write(f"{p},{est},{base},{status}\n")
     click.echo(f"sweep table: {sweep_path}")
     if all(r[3].startswith("failed") for r in rows):
         sys.exit(1)

@@ -107,9 +107,3 @@ def write_curve_csv(path, curve):
         for row in curve:
             w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
-
-def read_curve_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [[float(v) for v in row] for row in reader]

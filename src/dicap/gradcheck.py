@@ -138,7 +138,7 @@ def check_rollout(seed=0, feedback=True):
     def loss():
         _zero(ndt.params())
         ro = rollout(ndt, spec, B, T, rng.stream("gc-noise"),
-                     rng.stream("gc-chan"), fb_norm_decay=0.9)
+                     rng.stream("gc-chan"))
         obj, dx, dy = dine.input_gradients(ro.x, ro.y, y_ref)
         ro.backward(dx, dy)
         return obj

@@ -64,7 +64,8 @@ class NdtModel:
 
 
 def power_normalize(raw, power, out=None):
-    """Scale a whole (B, T, d) batch so its empirical mean square equals power.
+    """Scale a batch so its empirical mean square equals power: a whole
+    (B, T, d) rollout without feedback, one (B, d) step with feedback.
 
     Differentiable; gradient flows through both the samples and the batch
     statistic. An all-zero batch maps to zero output and zero gradient. The

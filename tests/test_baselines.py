@@ -111,8 +111,21 @@ def test_fb_requires_positive_power():
 
 
 def test_fb_validation_gate():
-    trusted, diags = bl.fb_baseline_trusted()
-    assert trusted, diags
+    # the quartic form against the closed forms: alpha = 0 reduces to the
+    # memoryless capacity, and feedback never loses to feedforward
+    failures = []
+    for p in (0.25, 0.5, 1.0, 2.0, 4.0):
+        got = bl.ma1_fb_capacity(p, 0.0).capacity_nats
+        want = bl.awgn_capacity(p, 1.0)
+        if abs(got - want) > 1e-9:
+            failures.append(f"alpha=0 reduction at P={p}: {got} vs {want}")
+        for a in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.5, -1.5,
+                  2.0, -2.0, 3.0, -3.0):
+            fb = bl.ma1_fb_capacity(p, a).capacity_nats
+            ff = bl.ma1_ff_capacity(p, a).capacity_nats
+            if fb < ff - 1e-9:
+                failures.append(f"FB < FF at P={p}, alpha={a}: {fb} vs {ff}")
+    assert not failures, failures
 
 
 def test_capacities_nondecreasing_in_power():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from dicap import capest, dine
-from dicap.capest import (TrainConfig, curve_summary, estimate_capacity,
-                          monte_carlo_eval)
+from dicap.capest import TrainConfig, estimate_capacity, monte_carlo_eval
 from dicap.channels import ChannelSpec, rollout
 from dicap.dine import DineModel
 from dicap.ndt import NdtModel
 from dicap.nn import Rng
+from test_acceptance import curve_summary
 
 TINY = dict(batch_size=4, seq_len=8, budget=6, warmup=3, dine_steps_per_ndt=2,
             dine_lr=1e-3, ndt_lr=1e-3, eval_samples=100_000, eval_seq_len=500,
@@ -19,9 +19,8 @@ TINY = dict(batch_size=4, seq_len=8, budget=6, warmup=3, dine_steps_per_ndt=2,
 
 def test_config_validation():
     bad = [dict(batch_size=0), dict(eval_samples=1000),
-           dict(fb_norm_decay=1.0), dict(power=np.nan), dict(dine_lr=np.inf),
-           dict(ndt_lr=np.nan), dict(ref_margin=np.inf),
-           dict(clip_norm=np.nan), dict(fb_norm_decay=np.nan),
+           dict(power=np.nan), dict(dine_lr=np.inf), dict(ndt_lr=np.nan),
+           dict(ref_margin=np.inf), dict(clip_norm=np.nan),
            dict(clip_norm=-1.0), dict(clip_norm=0.0), dict(budget=2.5),
            dict(batch_size=True), dict(dine_lr=None), dict(power="1"),
            dict(feedback=1), dict(seed=-1)]
@@ -94,7 +93,7 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
             monkeypatch.setattr(dine, "usable_cpus", lambda: workers)
             results.append(monte_carlo_eval(
                 model, ndt, ChannelSpec("ma1", alpha=0.5), samples, seed=13,
-                seq_len=99, fb_norm_decay=0.5 if feedback else 0.0))
+                seq_len=99))
         assert results[0] == results[1]
         assert results[0][4] == n_seq * 99
 
@@ -114,12 +113,10 @@ def test_monte_carlo_matches_reference(monkeypatch, reference_estimate,
     # its own rows and scored alone
     model, ndt = _width32_models(feedback)
     spec = ChannelSpec("ma1", alpha=0.5)
-    decay = 0.5 if feedback else 0.0
     rng = Rng(13)
     # 150 sequences in chunks of 64: the last chunk holds 22
     chunks = [rollout(ndt, spec, n, 30, rng.stream(f"eval/{k}/ndt-noise"),
-                      rng.stream(f"eval/{k}/channel"), need_cache=False,
-                      fb_norm_decay=decay)
+                      rng.stream(f"eval/{k}/channel"), need_cache=False)
               for k, n in enumerate((64, 64, 22))]
     sumsq = 0.0
     for ro in chunks:
@@ -129,7 +126,7 @@ def test_monte_carlo_matches_reference(monkeypatch, reference_estimate,
     for cpus in (1, 2, 3):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         assert monte_carlo_eval(model, ndt, spec, 150 * 30, seed=13,
-                                seq_len=30, fb_norm_decay=decay) == want
+                                seq_len=30) == want
 
 
 @pytest.mark.parametrize("feedback", [False, True])
@@ -143,7 +140,7 @@ def test_monte_carlo_same_for_any_cpu_count_with_odd_chunks(monkeypatch,
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         results.append(monte_carlo_eval(
             model, ndt, ChannelSpec("ma1", alpha=0.5), 4950, seed=13,
-            seq_len=99, fb_norm_decay=0.5 if feedback else 0.0))
+            seq_len=99))
     assert results[0] == results[1] == results[2]
 
 
@@ -161,8 +158,7 @@ def test_evaluation_memory_does_not_grow_with_chunks(monkeypatch, feedback):
         tracemalloc.start()
         try:
             monte_carlo_eval(model, ndt, ChannelSpec("ma1", alpha=0.5),
-                             n_seq * 400, seed=13, seq_len=400,
-                             fb_norm_decay=0.5 if feedback else 0.0)
+                             n_seq * 400, seed=13, seq_len=400)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -13,6 +13,9 @@ def test_spec_validation():
         ChannelSpec("awgn", sigma2=0.0)
     with pytest.raises(ValueError):
         ChannelSpec("ma1", sigma2=2.0)
+    for alpha in (3.0, -0.5):
+        with pytest.raises(ValueError):
+            ChannelSpec("awgn", alpha=alpha)
     for kwargs in (dict(alpha=np.nan), dict(alpha=np.inf),
                    dict(alpha=-np.inf)):
         with pytest.raises(ValueError):
@@ -107,7 +110,7 @@ def test_feedback_with_zeroed_feedback_weights_matches_open_loop():
     r_ff = rollout(ff, spec, 4, 10, rng.stream("n"), rng.stream("c"),
                    need_cache=False)
     r_fb = rollout(fb, spec, 4, 10, rng.stream("n"), rng.stream("c"),
-                   need_cache=False, fb_norm_decay=0.0)
+                   need_cache=False)
     # feedback mode normalizes per step, open loop over the whole batch;
     # compare the un-normalized structure via the noise realization
     assert np.array_equal(r_ff.noise, r_fb.noise)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 from dicap import cli, dine
 from dicap.cli import main
 from dicap.channels import ChannelSpec, draw_noise
-from dicap.data import read_curve_csv, write_trajectory_csv
+from dicap.data import write_trajectory_csv
 from dicap.nn import Rng
 
 
@@ -31,7 +32,8 @@ def test_baseline_ma1_json(runner):
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert out["feedback_capacity_nats"] > out["feedforward_capacity_nats"]
-        assert out["diagnostics"]["fb_baseline_trusted"]
+        assert set(out["diagnostics"]) == {"water_level", "power_gap",
+                                           "quartic_root"}
     # alpha = 2, P = 1 is the channel alpha = 0.5, P = 0.25
     assert out["feedback_capacity_nats"] == pytest.approx(0.25524, abs=1e-5)
 
@@ -50,6 +52,17 @@ def test_baseline_non_finite_params_are_usage_errors(runner, option, value):
                         + [item for pair in args.items() for item in pair])
     assert res.exit_code == 2
     assert "must be finite" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "ma1", "--sigma2", "2"], ["--family", "awgn", "--alpha", "3"],
+    ["--family", "awgn", "--sigma2", "0"]])
+def test_baseline_invalid_channel_is_usage_error(runner, args):
+    # ChannelSpec's checks: an MA(1) innovation variance or an AWGN alpha
+    # would otherwise be echoed next to capacities that do not depend on it
+    res = runner.invoke(main, ["baseline", "--power", "1"] + args)
+    assert res.exit_code == 2
+    assert "Error:" in res.output
 
 
 def test_baseline_invalid_params_exit_one(runner):
@@ -79,6 +92,14 @@ def test_capacity_missing_power_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+def test_capacity_awgn_with_alpha_is_usage_error(runner, tmp_path):
+    res = runner.invoke(main, ["capacity", "--family", "awgn", "--alpha", "3",
+                               "--power", "1", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "alpha must be 0" in res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_capacity_tiny_run_writes_outputs(runner, tmp_path):
     res = runner.invoke(main, [
         "capacity", "--family", "awgn", "--power", "1", "--seed", "3",
@@ -93,14 +114,17 @@ def test_capacity_tiny_run_writes_outputs(runner, tmp_path):
     rep = json.loads(reports[0].read_text())
     assert rep["capacity_bits"] == pytest.approx(
         rep["capacity_nats"] / np.log(2.0))
-    assert len(read_curve_csv(curves[0])) == 5
+    with open(curves[0], newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 5
 
 
 def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
-    # eval_batch was a field once; a config that still sets it is rejected
+    # eval_batch and fb_norm_decay were fields once; a config that still
+    # sets one is rejected
     cfg = tmp_path / "cfg.json"
     for raw, key in (({"budget": 2, "nonsense": 1}, "nonsense"),
-                     ({"eval_batch": 32}, "eval_batch")):
+                     ({"eval_batch": 32}, "eval_batch"),
+                     ({"fb_norm_decay": 0.5}, "fb_norm_decay")):
         cfg.write_text(json.dumps(raw))
         res = runner.invoke(main, ["capacity", "--family", "awgn", "--power",
                                    "1", "--config", str(cfg)])

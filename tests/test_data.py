@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
-from dicap.data import (TrajectoryFormatError, read_curve_csv,
-                        read_trajectory_csv, window_batches,
-                        write_curve_csv, write_trajectory_csv)
+from dicap.data import (TrajectoryFormatError, read_trajectory_csv,
+                        window_batches, write_curve_csv,
+                        write_trajectory_csv)
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -93,8 +95,11 @@ def test_curve_roundtrip(tmp_path):
     curve = [(0, 0.1, 0.2, 0.1), (1, 0.15, 0.3, 0.15)]
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve)
-    rows = read_curve_csv(path)
-    assert rows == [[0, 0.1, 0.2, 0.1], [1, 0.15, 0.3, 0.15]]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "d_y", "d_yx", "estimate"]
+    assert [[float(v) for v in row] for row in rows[1:]] == [
+        [0, 0.1, 0.2, 0.1], [1, 0.15, 0.3, 0.15]]
 
 
 def test_curve_with_power_column(tmp_path):

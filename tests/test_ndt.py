@@ -125,7 +125,7 @@ def test_power_normalize_exact_for_small_outputs(mean_square):
 
 def _raw_mean_square(ndt, rng, batch, steps):
     """Mean square of the raw generator outputs of ``rollout`` with the
-    streams ``n`` and ``c`` of ``rng`` (fb_norm_decay 0)."""
+    streams ``n`` and ``c`` of ``rng``."""
     from dicap.channels import draw_noise
     z = draw_noise(ChannelSpec("awgn"), batch, steps, rng.stream("c"))
     n = rng.stream("n").standard_normal((batch, steps, 1))
@@ -191,6 +191,17 @@ def test_rollout_power_constraint_every_batch():
         ro = rollout(ndt, ChannelSpec("awgn"), 8, 16, rng.stream(f"n{i}"),
                      rng.stream(f"c{i}"), need_cache=False)
         assert ro.realized_power == pytest.approx(2.5, rel=1e-6)
+
+
+def test_feedback_rollout_power_constraint_every_step():
+    # with feedback each step is normalized by its own batch mean square
+    rng = Rng(7)
+    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, power=2.5, feedback=True,
+                   gen=rng.stream("init"))
+    ro = rollout(ndt, ChannelSpec("awgn"), 8, 16, rng.stream("n"),
+                 rng.stream("c"), need_cache=False)
+    for i in range(16):
+        assert abs(np.mean(ro.x[:, i] ** 2) - 2.5) < 1e-12
 
 
 def test_rollout_determinism():
