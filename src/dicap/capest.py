@@ -43,14 +43,10 @@ class TrainConfig:
     dine_hidden: int = 64
     head_hidden: int = 64
     ndt_hidden: int = 64
-    ref_margin: float = 0.05
-    clip_norm: float = 1.0
 
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "clip_norm" and value is None:
-                continue        # Adam's "no clipping"
             if (not isinstance(value, _KINDS[f.type])
                     or isinstance(value, bool) != (f.type is bool)):
                 raise ValueError(f"{f.name} must be of type {f.type.__name__}")
@@ -62,10 +58,8 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.warmup < 0 or self.ref_margin < 0 or self.seed < 0:
-            raise ValueError("warmup, ref_margin and seed must be nonnegative")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+        if self.warmup < 0 or self.seed < 0:
+            raise ValueError("warmup and seed must be nonnegative")
         if self.eval_samples < 10 ** 5:
             raise ValueError("eval_samples must be at least 1e5")
 
@@ -134,13 +128,11 @@ def estimate_capacity(spec, config):
     config.validate()
     start_time = time.perf_counter()
     rng = Rng(config.seed)
-    dine = DineModel(1, 1, config.dine_hidden, config.head_hidden,
-                     config.ref_margin, rng=rng, lr=config.dine_lr,
-                     clip_norm=config.clip_norm)
-    ndt = NdtModel(1, 1, hidden=config.ndt_hidden,
-                   dense_hidden=config.ndt_hidden, power=config.power,
+    dine = DineModel(1, 1, config.dine_hidden, config.head_hidden, rng=rng,
+                     lr=config.dine_lr)
+    ndt = NdtModel(hidden=config.ndt_hidden, power=config.power,
                    feedback=config.feedback, gen=rng.stream("init-ndt"))
-    adam_ndt = Adam(ndt.params(), lr=config.ndt_lr, clip_norm=config.clip_norm)
+    adam_ndt = Adam(ndt.params(), lr=config.ndt_lr)
     noise_gen = rng.stream("ndt-noise")
     chan_gen = rng.stream("channel")
     B, T = config.batch_size, config.seq_len

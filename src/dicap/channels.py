@@ -84,7 +84,7 @@ def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True):
     by that step's batch mean square.
     """
     z = draw_noise(spec, batch, steps, channel_gen)
-    n = noise_gen.standard_normal((batch, steps, ndt.x_dim))
+    n = noise_gen.standard_normal((batch, steps, 1))
     if ndt.feedback:
         return _feedback_forward(ndt, n, z, need_cache)
     return _open_loop_forward(ndt, n, z, need_cache)
@@ -93,7 +93,7 @@ def rollout(ndt, spec, batch, steps, noise_gen, channel_gen, need_cache=True):
 def _open_loop_forward(ndt, n, z, need_cache):
     batch, steps, _ = n.shape
     h, c = ndt.zero_state(batch)
-    raw = np.empty((batch, steps, ndt.x_dim))
+    raw = np.empty((batch, steps, 1))
     caches = []
     for i in range(steps):
         raw[:, i], h, c, cache = ndt.step(n[:, i], None, h, c, need_cache)
@@ -118,9 +118,9 @@ def _open_loop_backward(ndt, caches, dx, dy):
 def _feedback_forward(ndt, n, z, need_cache):
     batch, steps, _ = n.shape
     h, c = ndt.zero_state(batch)
-    fb = np.zeros((batch, ndt.y_dim))
-    x = np.empty((batch, steps, ndt.x_dim))
-    y = np.empty((batch, steps, ndt.y_dim))
+    fb = np.zeros((batch, 1))
+    x = np.empty((batch, steps, 1))
+    y = np.empty_like(x)
     caches = []
     for i in range(steps):
         raw, h, c, cache = ndt.step(n[:, i], fb, h, c, need_cache)

@@ -215,19 +215,18 @@ class DineModel:
     """Pair of DV potentials estimating the DI rate from x to y, with the
     Adam optimizers and the reference stream that train them."""
 
-    def __init__(self, x_dim=1, y_dim=1, hidden=64, head_hidden=64,
-                 ref_margin=0.05, rng=None, lr=1e-4, clip_norm=1.0):
+    def __init__(self, x_dim=1, y_dim=1, hidden=64, head_hidden=64, rng=None,
+                 lr=1e-4):
         rng = rng if rng is not None else Rng(0)
         self.x_dim = x_dim
         self.y_dim = y_dim
-        self.ref_margin = ref_margin
         self.pot_y = DinePotential(
             y_dim, hidden, head_hidden, rng.stream("init-pot-y"), name="pot_y")
         self.pot_yx = DinePotential(
             y_dim + x_dim, hidden, head_hidden, rng.stream("init-pot-yx"),
             name="pot_yx")
-        self.adam_y = Adam(self.pot_y.params(), lr=lr, clip_norm=clip_norm)
-        self.adam_yx = Adam(self.pot_yx.params(), lr=lr, clip_norm=clip_norm)
+        self.adam_y = Adam(self.pot_y.params(), lr=lr)
+        self.adam_yx = Adam(self.pot_yx.params(), lr=lr)
         self.ref_gen = rng.stream("dine-reference")
         self._helper = None     # set only inside ``training``
 
@@ -235,7 +234,7 @@ class DineModel:
         return self.pot_y.params() + self.pot_yx.params()
 
     def fit_box(self, y):
-        return fit_reference(y, self.ref_margin)
+        return fit_reference(y)
 
     def reference(self, y):
         """Reference samples shaped like ``y``, uniform on its fitted box."""

@@ -106,8 +106,8 @@ def check_dine(seed=0):
 def check_ndt(seed=0):
     """Open-loop generator with batch power normalization."""
     gen = np.random.default_rng(seed)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, power=1.0, feedback=False,
-                   gen=gen, name="gc.ndt")
+    ndt = NdtModel(hidden=4, power=1.0, feedback=False, gen=gen,
+                   name="gc.ndt")
     spec = ChannelSpec("awgn", sigma2=1.0)
     B, T = 2, 4
     w = gen.standard_normal((B, T, 1))
@@ -128,8 +128,8 @@ def check_rollout(seed=0, feedback=True):
     """End-to-end generator objective through channel and frozen estimator."""
     rng = Rng(seed)
     dine = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, power=1.0,
-                   feedback=feedback, gen=rng.stream("gc-ndt-init"))
+    ndt = NdtModel(hidden=4, power=1.0, feedback=feedback,
+                   gen=rng.stream("gc-ndt-init"))
     spec = ChannelSpec("ma1", alpha=0.5) if feedback else ChannelSpec("awgn")
     B, T = 2, 4
     box = ReferenceBox([-6.0], [6.0])

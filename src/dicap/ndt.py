@@ -11,25 +11,23 @@ from .nn import Dense, LstmCell
 
 
 class NdtModel:
-    """Generator network with parameters mu.
+    """Generator network with parameters mu for a scalar channel.
 
-    Input per step is the noise sample (``x_dim`` values), concatenated with
-    the previous channel output when ``feedback`` is set.
+    Input per step is one noise sample, concatenated with the previous
+    channel output when ``feedback`` is set.
     """
 
-    def __init__(self, x_dim=1, y_dim=1, hidden=64, dense_hidden=64, power=1.0,
-                 feedback=False, gen=None, name="ndt"):
+    def __init__(self, hidden=64, power=1.0, feedback=False, gen=None,
+                 name="ndt"):
         if power <= 0:
             raise ValueError("power budget must be positive")
         gen = gen if gen is not None else np.random.default_rng(0)
-        self.x_dim = x_dim
-        self.y_dim = y_dim
         self.power = power
         self.feedback = feedback
-        in_dim = x_dim + (y_dim if feedback else 0)
-        self.cell = LstmCell(in_dim, hidden, gen, name=f"{name}.lstm")
-        self.dense1 = Dense(hidden, dense_hidden, "tanh", gen, name=f"{name}.dense1")
-        self.dense2 = Dense(dense_hidden, x_dim, "linear", gen, name=f"{name}.dense2")
+        self.cell = LstmCell(2 if feedback else 1, hidden, gen,
+                             name=f"{name}.lstm")
+        self.dense1 = Dense(hidden, hidden, "tanh", gen, name=f"{name}.dense1")
+        self.dense2 = Dense(hidden, 1, "linear", gen, name=f"{name}.dense2")
 
     def params(self):
         return self.cell.params() + self.dense1.params() + self.dense2.params()
@@ -59,7 +57,7 @@ class NdtModel:
         dh = self.dense1.backward(d1c, self.dense2.backward(d2c, draw.T))
         dh += dh_carry
         dinp, dh_prev, dc_prev = self.cell.backward_step(lc, dh, dc_carry)
-        dfb = dinp[:, self.x_dim:] if self.feedback else None
+        dfb = dinp[:, 1:] if self.feedback else None
         return dfb, dh_prev, dc_prev
 
 

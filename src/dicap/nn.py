@@ -205,19 +205,18 @@ def global_norm(params):
 class Adam:
     """Adam with bias correction, performing gradient ASCENT on its params.
 
-    ``clip_norm`` applies global gradient-norm clipping across all managed
-    blocks before the update (None disables it).
+    Gradients are clipped to global norm ``clip_norm`` across all managed
+    blocks before the update.
     """
 
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2, eps, clip_norm = 0.9, 0.999, 1e-8, 1.0
 
-    def __init__(self, params, lr=1e-3, clip_norm=1.0):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate ParamBlock names")
         self.lr = lr
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
@@ -226,11 +225,8 @@ class Adam:
         for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 raise GradientError(f"non-finite gradient in {p.name}")
-        scale = 1.0
-        if self.clip_norm is not None:
-            norm = global_norm(self.params)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
+        norm = global_norm(self.params)
+        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -39,7 +39,7 @@ def _reference_estimate(model, chunks, seed):
     terms_y, terms_yx = [], []
     for k, (x, y) in enumerate(chunks):
         B, T, _ = y.shape
-        box = fit_reference(y, model.ref_margin)
+        box = fit_reference(y)
         y_ref = box.sample(Rng(seed).stream(f"eval/{k}/reference"), B, T)
         ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
         terms_y.append(dv_terms(ty, tr))

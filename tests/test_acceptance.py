@@ -162,18 +162,27 @@ def test_criterion_5_awgn_capacity_sweep(awgn_p1_run):
 
 
 def test_criterion_6_ma1_feedforward_sweep(ff_p1_run):
+    # P = 1 on seeds 0-2: there a single seed's estimate moved by 9% of the
+    # target with a 1e-8 relative change in the generator's outputs
     results = []
     ok = True
     spec = ChannelSpec("ma1", alpha=0.5)
     for p in (0.5, 1.0, 2.0):
         if p == 1.0:
-            report = ff_p1_run
+            reports = [ff_p1_run] + [
+                estimate_capacity(spec, capacity_config(power=p, seed=s))[0]
+                for s in (1, 2)]
         else:
-            report, _, _ = estimate_capacity(spec, capacity_config(power=p))
+            reports = [estimate_capacity(spec, capacity_config(power=p))[0]]
         target = ma1_ff_capacity(p, 0.5).capacity_nats
-        good = within(report.raw_estimate_nats, target) and not report.failed
-        ok = ok and good
-        results.append(f"P={p}: {report.raw_estimate_nats:.4f}/{target:.4f}")
+        ok = ok and all(within(r.raw_estimate_nats, target) and not r.failed
+                        for r in reports)
+        ests = sorted(r.raw_estimate_nats for r in reports)
+        if len(ests) == 1:
+            results.append(f"P={p}: {ests[0]:.4f}/{target:.4f}")
+        else:
+            results.append(f"P={p}, seeds 0-2: min {ests[0]:.4f}, median "
+                           f"{ests[1]:.4f}, max {ests[2]:.4f}/{target:.4f}")
     verdict("6 ma1 feedforward sweep", ok, "; ".join(results))
 
 

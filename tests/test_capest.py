@@ -20,15 +20,13 @@ TINY = dict(batch_size=4, seq_len=8, budget=6, warmup=3, dine_steps_per_ndt=2,
 def test_config_validation():
     bad = [dict(batch_size=0), dict(eval_samples=1000),
            dict(power=np.nan), dict(dine_lr=np.inf), dict(ndt_lr=np.nan),
-           dict(ref_margin=np.inf), dict(clip_norm=np.nan),
-           dict(clip_norm=-1.0), dict(clip_norm=0.0), dict(budget=2.5),
-           dict(batch_size=True), dict(dine_lr=None), dict(power="1"),
-           dict(feedback=1), dict(seed=-1)]
+           dict(budget=2.5), dict(batch_size=True), dict(dine_lr=None),
+           dict(power="1"), dict(feedback=1), dict(seed=-1)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs).validate()
     TrainConfig().validate()
-    TrainConfig(clip_norm=None, power=2, feedback=True).validate()
+    TrainConfig(power=2, feedback=True).validate()
 
 
 def test_report_bookkeeping_identity():
@@ -68,7 +66,7 @@ def test_monte_carlo_zero_potentials_give_exact_zero():
     for pot in (dine.pot_y, dine.pot_yx):
         pot.head2.W.value[:] = 0.0
         pot.head2.b.value[:] = 0.0
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("ndt"))
+    ndt = NdtModel(hidden=4, gen=rng.stream("ndt"))
     est, vy, vyx, power, count = monte_carlo_eval(
         dine, ndt, ChannelSpec("awgn"), 100_000, seed=7, seq_len=500)
     assert est == 0.0
@@ -81,8 +79,7 @@ def test_monte_carlo_zero_potentials_give_exact_zero():
 def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
     rng = Rng(12)
     model = DineModel(1, 1, hidden=5, head_hidden=4, rng=rng)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=feedback,
-                   gen=rng.stream("ndt"))
+    ndt = NdtModel(hidden=4, feedback=feedback, gen=rng.stream("ndt"))
     # 50 sequences in chunks of 7: the last chunk holds one; 5 sequences
     # make one chunk, so all blocks but one are empty
     monkeypatch.setattr(dine, "_CHUNK_SEQS", 7)
@@ -101,8 +98,7 @@ def test_monte_carlo_same_for_one_and_two_workers(monkeypatch, feedback):
 def _width32_models(feedback):
     rng = Rng(12)
     model = DineModel(1, 1, hidden=32, head_hidden=32, rng=rng)
-    ndt = NdtModel(1, 1, hidden=32, dense_hidden=32, feedback=feedback,
-                   gen=rng.stream("ndt"))
+    ndt = NdtModel(hidden=32, feedback=feedback, gen=rng.stream("ndt"))
     return model, ndt
 
 
@@ -151,8 +147,7 @@ def test_evaluation_memory_does_not_grow_with_chunks(monkeypatch, feedback):
     monkeypatch.setattr(dine, "usable_cpus", lambda: 1)
     rng = Rng(12)
     model = DineModel(1, 1, hidden=8, head_hidden=8, rng=rng)
-    ndt = NdtModel(1, 1, hidden=8, dense_hidden=8, feedback=feedback,
-                   gen=rng.stream("ndt"))
+    ndt = NdtModel(hidden=8, feedback=feedback, gen=rng.stream("ndt"))
     peaks = []
     for n_seq in (128, 512):
         tracemalloc.start()
@@ -241,7 +236,7 @@ def test_feedback_off_never_sees_outputs():
     cfg = TrainConfig(seed=8, **TINY)
     _, _, ndt = estimate_capacity(ChannelSpec("ma1", alpha=0.5), cfg)
     assert not ndt.feedback
-    assert ndt.cell.in_dim == ndt.x_dim
+    assert ndt.cell.in_dim == 1
 
 
 def test_curve_summary_constant():

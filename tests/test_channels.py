@@ -62,8 +62,7 @@ def test_channel_step_contract():
     assert np.allclose(z[:, 1], 0.5 * u[:, 0] + u[:, 1])
     # the per-step feedback rollout applies y_i = x_i + z_i at every use
     rng = Rng(3)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=True,
-                   gen=rng.stream("init"))
+    ndt = NdtModel(hidden=4, feedback=True, gen=rng.stream("init"))
     ro = rollout(ndt, spec, 3, 6, rng.stream("n"), rng.stream("c"),
                  need_cache=False)
     assert np.array_equal(ro.noise, draw_noise(spec, 3, 6, rng.stream("c")))
@@ -80,7 +79,7 @@ def test_channel_step_awgn_stateless():
 
 def test_rollout_zero_generator_gives_pure_noise():
     rng = Rng(5)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("init"))
+    ndt = NdtModel(hidden=4, gen=rng.stream("init"))
     for p in ndt.params():
         p.value[:] = 0.0
     spec = ChannelSpec("awgn")
@@ -95,9 +94,8 @@ def test_feedback_with_zeroed_feedback_weights_matches_open_loop():
     # silencing the fed-back input columns must reproduce the feedforward
     # trajectories under identical seeds
     rng = Rng(6)
-    ff = NdtModel(1, 1, hidden=5, dense_hidden=4, gen=rng.stream("init"))
-    fb = NdtModel(1, 1, hidden=5, dense_hidden=4, feedback=True,
-                  gen=rng.stream("other"))
+    ff = NdtModel(hidden=5, gen=rng.stream("init"))
+    fb = NdtModel(hidden=5, feedback=True, gen=rng.stream("other"))
     # copy shared weights; the row of W on the fed-back input is zeroed
     # (W's rows are [noise, fed-back output, h, bias])
     fb.cell.W.value[:1] = ff.cell.W.value[:1]
@@ -122,8 +120,8 @@ def test_channel_noise_paired_across_generators():
     # same seed, different generator: identical noise realization
     rng = Rng(7)
     spec = ChannelSpec("ma1", alpha=0.5)
-    ndt1 = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("a"))
-    ndt2 = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("b"))
+    ndt1 = NdtModel(hidden=4, gen=rng.stream("a"))
+    ndt2 = NdtModel(hidden=4, gen=rng.stream("b"))
     r1 = rollout(ndt1, spec, 3, 8, rng.stream("n"), rng.stream("c"),
                  need_cache=False)
     r2 = rollout(ndt2, spec, 3, 8, rng.stream("n"), rng.stream("c"),
@@ -134,7 +132,7 @@ def test_channel_noise_paired_across_generators():
 
 def test_stationarity_of_windowed_moments():
     rng = Rng(8)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, gen=rng.stream("init"))
     ro = rollout(ndt, ChannelSpec("ma1", alpha=0.5), 200, 400,
                  rng.stream("n"), rng.stream("c"), need_cache=False)
     # drop the initial transient, then compare window moments

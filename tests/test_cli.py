@@ -119,12 +119,14 @@ def test_capacity_tiny_run_writes_outputs(runner, tmp_path):
 
 
 def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
-    # eval_batch and fb_norm_decay were fields once; a config that still
-    # sets one is rejected
+    # eval_batch, fb_norm_decay, ref_margin and clip_norm were fields once;
+    # a config that still sets one is rejected
     cfg = tmp_path / "cfg.json"
     for raw, key in (({"budget": 2, "nonsense": 1}, "nonsense"),
                      ({"eval_batch": 32}, "eval_batch"),
-                     ({"fb_norm_decay": 0.5}, "fb_norm_decay")):
+                     ({"fb_norm_decay": 0.5}, "fb_norm_decay"),
+                     ({"ref_margin": 0.1}, "ref_margin"),
+                     ({"clip_norm": 1.0}, "clip_norm")):
         cfg.write_text(json.dumps(raw))
         res = runner.invoke(main, ["capacity", "--family", "awgn", "--power",
                                    "1", "--config", str(cfg)])
@@ -134,7 +136,7 @@ def test_capacity_config_file_and_unknown_keys(runner, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    {"clip_norm": -1.0}, {"budget": 2.5}, {"dine_lr": None}, {"seed": -1}])
+    {"batch_size": 0}, {"budget": 2.5}, {"dine_lr": None}, {"seed": -1}])
 def test_capacity_bad_config_value_is_usage_error(runner, tmp_path, bad):
     # tiny otherwise, so that a config that slips through ends quickly
     cfg = tmp_path / "cfg.json"

@@ -263,9 +263,12 @@ def test_reference_volume_shift_cancels_in_difference(
     # widening the reference box rescales both objectives identically in
     # expectation; the difference moves very little
     model, ex, ey = trained_on_additive_gaussian
+    # a patched class does not reach a helper process: score here
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 1)
     est1, vy1, _ = model.evaluate(ex, ey, 21)
     # a margin of 0.6 on each side gives 2.2 ranges, twice the default 1.1
-    monkeypatch.setattr(model, "ref_margin", 0.6)
+    monkeypatch.setattr(DineModel, "fit_box",
+                        lambda self, y: fit_reference(y, margin=0.6))
     est2, vy2, _ = model.evaluate(ex, ey, 22)
     assert abs(est1 - est2) < 0.02
     # each objective individually drops by roughly log 2 per dimension

@@ -7,7 +7,7 @@ from dicap.nn import Rng
 
 
 def test_zero_weights_give_zero_output():
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3)
+    ndt = NdtModel(hidden=4)
     for p in ndt.params():
         p.value[:] = 0.0
     h, c = ndt.zero_state(3)
@@ -17,11 +17,11 @@ def test_zero_weights_give_zero_output():
 
 
 def test_feedforward_model_rejects_feedback_input():
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3)
+    ndt = NdtModel(hidden=4)
     h, c = ndt.zero_state(2)
     with pytest.raises(ValueError):
         ndt.step(np.zeros((2, 1)), np.zeros((2, 1)), h, c)
-    fb_ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, feedback=True)
+    fb_ndt = NdtModel(hidden=4, feedback=True)
     with pytest.raises(ValueError):
         fb_ndt.step(np.zeros((2, 1)), None, *fb_ndt.zero_state(2))
 
@@ -30,7 +30,7 @@ def test_causality_without_feedback():
     # open-loop trajectories are a function of the generator noise only:
     # a different channel noise stream must leave x unchanged
     rng = Rng(1)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, gen=rng.stream("init"))
     spec = ChannelSpec("awgn")
     r1 = rollout(ndt, spec, 4, 10, rng.stream("n"), rng.stream("c1"),
                  need_cache=False)
@@ -44,8 +44,7 @@ def test_causality_with_feedback():
     # x_i may depend on y_{<i} only: editing the noise that forms y at step k
     # must leave x_1..x_k unchanged
     rng = Rng(2)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, feedback=True,
-                   gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, feedback=True, gen=rng.stream("init"))
     spec = ChannelSpec("awgn")
     base = rollout(ndt, spec, 3, 8, rng.stream("n"), rng.stream("c"),
                    need_cache=False)
@@ -147,8 +146,7 @@ def test_rollout_power_exact_for_small_raw_outputs(feedback, mean_square):
     # dense2 is linear, so scaling it scales the raw outputs; the normalized
     # outputs, and so the fed-back ones, do not depend on that scale
     rng = Rng(13)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, feedback=feedback,
-                   gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, feedback=feedback, gen=rng.stream("init"))
     ndt.dense2.W.value *= np.sqrt(
         mean_square / _raw_mean_square(ndt, rng, 16, 12))
     assert _raw_mean_square(ndt, rng, 16, 12) == pytest.approx(mean_square)
@@ -185,8 +183,7 @@ def test_power_normalize_backward_matches_finite_differences():
 
 def test_rollout_power_constraint_every_batch():
     rng = Rng(7)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, power=2.5,
-                   gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, power=2.5, gen=rng.stream("init"))
     for i in range(5):
         ro = rollout(ndt, ChannelSpec("awgn"), 8, 16, rng.stream(f"n{i}"),
                      rng.stream(f"c{i}"), need_cache=False)
@@ -196,8 +193,7 @@ def test_rollout_power_constraint_every_batch():
 def test_feedback_rollout_power_constraint_every_step():
     # with feedback each step is normalized by its own batch mean square
     rng = Rng(7)
-    ndt = NdtModel(1, 1, hidden=6, dense_hidden=4, power=2.5, feedback=True,
-                   gen=rng.stream("init"))
+    ndt = NdtModel(hidden=6, power=2.5, feedback=True, gen=rng.stream("init"))
     ro = rollout(ndt, ChannelSpec("awgn"), 8, 16, rng.stream("n"),
                  rng.stream("c"), need_cache=False)
     for i in range(16):
@@ -206,7 +202,7 @@ def test_feedback_rollout_power_constraint_every_step():
 
 def test_rollout_determinism():
     rng = Rng(8)
-    ndt = NdtModel(1, 1, hidden=5, dense_hidden=4, gen=rng.stream("init"))
+    ndt = NdtModel(hidden=5, gen=rng.stream("init"))
     a = rollout(ndt, ChannelSpec("ma1", alpha=0.3), 3, 9, rng.stream("n"),
                 rng.stream("c"), need_cache=False)
     b = rollout(ndt, ChannelSpec("ma1", alpha=0.3), 3, 9, rng.stream("n"),
@@ -218,7 +214,7 @@ def test_rollout_determinism():
 def test_zero_learning_rate_leaves_params():
     from dicap.nn import Adam
     rng = Rng(11)
-    ndt = NdtModel(1, 1, hidden=4, dense_hidden=3, gen=rng.stream("init"))
+    ndt = NdtModel(hidden=4, gen=rng.stream("init"))
     before = [p.value.copy() for p in ndt.params()]
     opt = Adam(ndt.params(), lr=0.0)
     for p in ndt.params():

@@ -280,7 +280,7 @@ def test_adam_zero_gradient_leaves_params():
 
 def test_adam_ascends_along_gradient_sign():
     p = ParamBlock("w", np.zeros(3))
-    opt = Adam([p], lr=0.01, clip_norm=None)
+    opt = Adam([p], lr=0.01)
     for _ in range(50):
         p.grad[:] = [1.0, -2.0, 0.5]
         opt.step()
@@ -290,12 +290,25 @@ def test_adam_ascends_along_gradient_sign():
 def test_adam_maximizes_concave_quadratic():
     # objective -(w - 3)^2, gradient -2(w - 3); ascent converges to w = 3
     p = ParamBlock("w", np.array([0.0]))
-    opt = Adam([p], lr=1e-2, clip_norm=None)
+    opt = Adam([p], lr=1e-2)
     for _ in range(2000):
         p.zero_grad()
         p.grad[:] = -2.0 * (p.value - 3.0)
         opt.step()
     assert abs(p.value[0] - 3.0) < 1e-3
+
+
+@pytest.mark.parametrize("scale, factor", [(1.0, 0.2), (0.1, 1.0)])
+def test_adam_clips_at_global_norm_one_across_blocks(scale, factor):
+    # blocks of gradient norm 3 and 4 (together 5) are scaled by 1/5 as
+    # one vector; at a global norm of 0.5 nothing is clipped
+    a, b = ParamBlock("a", np.zeros(2)), ParamBlock("b", np.zeros(1))
+    opt = Adam([a, b], lr=0.1)
+    ga, gb = scale * np.array([3.0, 0.0]), scale * np.array([-4.0])
+    a.grad[:], b.grad[:] = ga, gb
+    opt.step()
+    np.testing.assert_allclose(opt.m["a"], 0.1 * ga * factor, rtol=1e-15)
+    np.testing.assert_allclose(opt.m["b"], 0.1 * gb * factor, rtol=1e-15)
 
 
 def test_adam_rejects_nonfinite_gradient():
