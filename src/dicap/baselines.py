@@ -135,8 +135,8 @@ def gaussian_di_oracle(power, alpha, n=1024):
     """Directed-information rate for i.i.d. N(0, power) input through MA(1).
 
     Open loop only (input independent of the noise). Returns the n-block
-    value (1/2n) log det(Sigma_Y)/det(Sigma_Z); ``both`` in the result also
-    reports the 2n value to expose convergence.
+    value (1/2n) log det(Sigma_Y)/det(Sigma_Z) as ``rate_nats``, and the 2n
+    value as ``rate_nats_2n`` to expose convergence.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")

@@ -98,7 +98,7 @@ def baseline_for(spec, power, feedback):
     return baselines.ma1_ff_capacity(power, spec.alpha).capacity_nats
 
 
-def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len=2048):
+def monte_carlo_eval(dine, ndt, spec, samples, seed, seq_len):
     """Long evaluation with frozen models: fresh rollouts totaling ``samples``.
 
     ``evaluate_chunks`` cuts the sequences into chunks; chunk k is rolled

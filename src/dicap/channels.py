@@ -53,8 +53,6 @@ class Rollout:
 
     x: np.ndarray
     y: np.ndarray
-    noise: np.ndarray
-    feedback: bool
     _ndt: object = field(repr=False)
     _caches: object = field(repr=False)
 
@@ -69,7 +67,7 @@ class Rollout:
         gradient w.r.t. the channel outputs; the additive channel contributes
         dy to the input adjoint one-for-one.
         """
-        if self.feedback:
+        if self._ndt.feedback:
             _feedback_backward(self._ndt, self._caches, dx, dy)
         else:
             _open_loop_backward(self._ndt, self._caches, dx, dy)
@@ -96,13 +94,13 @@ def _open_loop_forward(ndt, n, z, need_cache):
     raw = np.empty((batch, steps, 1))
     caches = []
     for i in range(steps):
-        raw[:, i], h, c, cache = ndt.step(n[:, i], None, h, c, need_cache)
+        raw[:, i], h, c, cache = ndt.step(n[:, i], None, h, c)
         if need_cache:
             caches.append(cache)
     # without a backward pass the raw outputs are normalized in place
     x, pcache = power_normalize(raw, ndt.power,
                                 out=np.empty_like(raw) if need_cache else raw)
-    return Rollout(x, x + z, z, False, ndt, (caches, pcache))
+    return Rollout(x, x + z, ndt, (caches, pcache))
 
 
 def _open_loop_backward(ndt, caches, dx, dy):
@@ -123,25 +121,22 @@ def _feedback_forward(ndt, n, z, need_cache):
     y = np.empty_like(x)
     caches = []
     for i in range(steps):
-        raw, h, c, cache = ndt.step(n[:, i], fb, h, c, need_cache)
+        raw, h, c, cache = ndt.step(n[:, i], fb, h, c)
         _, pcache = power_normalize(raw, ndt.power, out=x[:, i])
         fb = np.add(x[:, i], z[:, i], out=y[:, i])
         if need_cache:
             caches.append((cache, pcache))
-    return Rollout(x, y, z, True, ndt, caches)
+    return Rollout(x, y, ndt, caches)
 
 
 def _feedback_backward(ndt, caches, dx, dy):
     batch, steps, _ = dx.shape
     dh = np.zeros((ndt.cell.hidden, batch))
     dc = np.zeros_like(dh)
-    dfb_next = None  # gradient of the output fed into the next step
+    dfb = np.zeros((batch, 1))  # gradient of the output fed into the next step
     for i in reversed(range(steps)):
-        dyi = dy[:, i].copy()
-        if dfb_next is not None:
-            dyi += dfb_next
         step_cache, pcache = caches[i]
         # additive channel: dy/dx = 1
-        draw = power_normalize_backward(pcache, dx[:, i] + dyi)
-        dfb_next, dh, dc = ndt.backward_step(step_cache, draw, dh, dc)
+        draw = power_normalize_backward(pcache, dx[:, i] + (dy[:, i] + dfb))
+        dfb, dh, dc = ndt.backward_step(step_cache, draw, dh, dc)
     # the fed-back output before step 0 is the constant y0 = 0

@@ -112,8 +112,7 @@ def dv_value(t_true, t_ref):
 class DinePotential:
     """One DV potential: modified-LSTM unroll plus a dense scalar head."""
 
-    def __init__(self, in_dim, hidden=64, head_hidden=64, gen=None, name="pot"):
-        gen = gen if gen is not None else np.random.default_rng(0)
+    def __init__(self, in_dim, hidden, head_hidden, gen, name="pot"):
         self.in_dim = in_dim
         self.hidden = hidden
         self.cell = LstmCell(in_dim, hidden, gen, name=f"{name}.lstm")
@@ -215,9 +214,7 @@ class DineModel:
     """Pair of DV potentials estimating the DI rate from x to y, with the
     Adam optimizers and the reference stream that train them."""
 
-    def __init__(self, x_dim=1, y_dim=1, hidden=64, head_hidden=64, rng=None,
-                 lr=1e-4):
-        rng = rng if rng is not None else Rng(0)
+    def __init__(self, x_dim, y_dim, hidden, head_hidden, rng, lr=1e-4):
         self.x_dim = x_dim
         self.y_dim = y_dim
         self.pot_y = DinePotential(
@@ -329,19 +326,27 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
 
     The ``n_seq`` sequences are cut into chunks of ``_CHUNK_SEQS`` (the last
     may be shorter), and the chunks into contiguous blocks, one per process
-    of ``helpers``, scored in one ``run_blocks`` pass. ``load(*args, k, n,
-    *rows) -> (x, y)`` runs in the process that scores chunk k of n
-    sequences; ``rows`` are the chunk's rows of the arrays in ``data``. As
-    in training, a chunk's reference is uniform on the box fitted to its
-    own outputs, here drawn from ``Rng(seed).stream(f"eval/{k}/reference")``.
+    of ``helpers``, scored in one pass: the first block here, the others in
+    the helpers at the same time. ``load(*args, k, n, *rows) -> (x, y)`` runs
+    in the process that scores chunk k of n sequences; ``rows`` are the
+    chunk's rows of the arrays in ``data``. As in training, a chunk's
+    reference is uniform on the box fitted to its own outputs, here drawn
+    from ``Rng(seed).stream(f"eval/{k}/reference")``.
     The DV terms are combined in chunk order, so the result does not depend
     on the worker count. Returns (estimate, d_y, d_yx, sum of x²).
     """
     with helpers() as pool:
-        items = [[(k, rows.stop - rows.start, *(a[rows] for a in data))
-                  for k, rows in block]
-                 for block in _cut(n_seq, len(pool) + 1)]
-        scored = run_blocks(_score_chunks, items, model, seed, load, args)
+        blocks = [[(k, rows.stop - rows.start, *(a[rows] for a in data))
+                   for k, rows in block]
+                  for block in _cut(n_seq, len(pool) + 1)]
+        for helper, block in zip(pool, blocks[1:]):
+            helper.send(_score_chunks, model, seed, load, args, block)
+        # an error here (the earliest block's, as in a serial run) leaves
+        # replies unread: it must end the outermost helpers block, which
+        # kills the helpers
+        scored = _score_chunks({}, model, seed, load, args, blocks[0])
+        for helper in pool:
+            scored += helper.receive()
     vy = dv_combine([ty for ty, _, _ in scored])
     vyx = dv_combine([tyx for _, tyx, _ in scored])
     sumsq = 0.0
@@ -507,22 +512,6 @@ def helpers():
         _POOL.reset(token)
 
 
-def run_blocks(fn, blocks, *args):
-    """Run ``fn(state, *args, block)`` on every block of ``blocks``, one per
-    process of ``helpers``, at once: the first block here with a fresh
-    ``state``, the others in the helpers with theirs. Returns the result
-    lists joined in block order. The earliest block's error is raised, as in
-    a serial run; it leaves replies unread, so it must end the outermost
-    ``helpers`` block, which kills the helpers."""
-    with helpers() as pool:
-        for helper, block in zip(pool, blocks[1:]):
-            helper.send(fn, *args, block)
-        out = fn({}, *args, blocks[0])
-        for helper in pool:
-            out += helper.receive()
-        return out
-
-
 def _swap_potential(state, potential):
     """Keep ``potential``, a (DinePotential, Adam) pair or None, in
     ``state``; return the one kept before."""
@@ -537,7 +526,7 @@ def _step_potential(state, true_in, ref_in, train):
 
 
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
-               lr=1e-4, iters=5000, rng=None):
+               lr=1e-4, iters=5000, rng):
     """Train a DineModel on batches from ``data_source(iteration) -> (x, y)``.
 
     Runs a fixed iteration budget; returns (model, curve) where curve rows are

@@ -146,24 +146,21 @@ def check_rollout(seed=0, feedback=True):
     return grad_check(loss, ndt.params())
 
 
-def suite(component, seed=0):
-    """Run the finite-difference suite for one component."""
+def run_suite(component, seed=0, tol=1e-4):
+    """Run the finite-difference suite for one component; returns (every
+    error below ``tol``, {parameter name: max relative error})."""
     if component == "nn":
         report = dict(check_dense(seed))
         report.update(check_lstm(seed))
-        return report
-    if component == "dine":
-        return check_dine(seed)
-    if component == "ndt":
-        return check_ndt(seed)
-    if component == "rollout":
+    elif component == "dine":
+        report = check_dine(seed)
+    elif component == "ndt":
+        report = check_ndt(seed)
+    elif component == "rollout":
         report = dict(check_rollout(seed, feedback=False))
         report.update({f"fb.{k}": v
                        for k, v in check_rollout(seed, feedback=True).items()})
-        return report
-    raise ValueError(f"unknown component {component!r}; pick from {COMPONENTS}")
-
-
-def run_suite(component, seed=0, tol=1e-4):
-    report = suite(component, seed)
+    else:
+        raise ValueError(
+            f"unknown component {component!r}; pick from {COMPONENTS}")
     return max(report.values()) < tol, report

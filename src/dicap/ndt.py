@@ -17,11 +17,10 @@ class NdtModel:
     channel output when ``feedback`` is set.
     """
 
-    def __init__(self, hidden=64, power=1.0, feedback=False, gen=None,
+    def __init__(self, hidden=64, power=1.0, feedback=False, *, gen,
                  name="ndt"):
         if power <= 0:
             raise ValueError("power budget must be positive")
-        gen = gen if gen is not None else np.random.default_rng(0)
         self.power = power
         self.feedback = feedback
         self.cell = LstmCell(2 if feedback else 1, hidden, gen,
@@ -35,21 +34,16 @@ class NdtModel:
     def zero_state(self, batch):
         return self.cell.zero_state(batch)
 
-    def step(self, noise, fb, h, c, need_cache=True):
-        """One generator step; returns the raw (un-normalized) input sample."""
-        if self.feedback:
-            if fb is None:
-                raise ValueError("feedback model requires a fed-back output")
-            inp = np.concatenate([noise, fb], axis=-1)
-        else:
-            if fb is not None:
-                raise ValueError("feedback input passed to a feedforward model")
-            inp = noise
+    def step(self, noise, fb, h, c):
+        """One generator step; returns the raw (un-normalized) input sample.
+
+        ``fb`` is the fed-back output, None without feedback; the cell
+        rejects an input whose width does not match ``feedback``."""
+        inp = noise if fb is None else np.concatenate([noise, fb], axis=-1)
         h2, c2, lc = self.cell.step(inp, h, c)
         mid, d1c = self.dense1.forward(h2)
         raw, d2c = self.dense2.forward(mid)
-        cache = (lc, d1c, d2c) if need_cache else None
-        return raw.T, h2, c2, cache
+        return raw.T, h2, c2, (lc, d1c, d2c)
 
     def backward_step(self, cache, draw, dh_carry, dc_carry):
         """Reverse one step; returns (dfb, dh_prev, dc_prev)."""

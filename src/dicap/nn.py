@@ -56,13 +56,12 @@ class Dense:
     """Affine layer with an optional tanh activation, feature-major like the
     LSTM state: inputs are (in_dim, N) and outputs (out_dim, N)."""
 
-    def __init__(self, in_dim, out_dim, activation="tanh", rng=None, name="dense"):
+    def __init__(self, in_dim, out_dim, activation, rng, name="dense"):
         if activation not in ("linear", "tanh"):
             raise ValueError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.W = ParamBlock(f"{name}.W", uniform_init(rng, (in_dim, out_dim), in_dim))
         self.b = ParamBlock(f"{name}.b", np.zeros(out_dim))
 
@@ -105,12 +104,11 @@ class LstmCell:
     Forget-gate bias starts at 1.0.
     """
 
-    def __init__(self, in_dim, hidden, rng=None, name="lstm"):
+    def __init__(self, in_dim, hidden, rng, name="lstm"):
         if hidden <= 0:
             raise ValueError("hidden size must be positive")
         self.in_dim = in_dim
         self.hidden = hidden
-        rng = rng if rng is not None else np.random.default_rng(0)
         H, fan = hidden, in_dim + hidden
         # drawn as [Wx; Wh] with gates [i, f, g, o], then permuted
         w = np.vstack([uniform_init(rng, (in_dim, 4 * H), fan),

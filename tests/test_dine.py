@@ -78,7 +78,8 @@ def test_modified_unroll_identical_inputs_give_identical_states():
 
 
 def test_modified_unroll_length_mismatch():
-    pot = DinePotential(1, hidden=4, head_hidden=3)
+    pot = DinePotential(1, hidden=4, head_hidden=3,
+                        gen=np.random.default_rng(0))
     with pytest.raises(ValueError):
         pot.forward(np.zeros((2, 5, 1)), np.zeros((2, 4, 1)))
 

@@ -7,7 +7,7 @@ from dicap.nn import Rng
 
 
 def test_zero_weights_give_zero_output():
-    ndt = NdtModel(hidden=4)
+    ndt = NdtModel(hidden=4, gen=np.random.default_rng(0))
     for p in ndt.params():
         p.value[:] = 0.0
     h, c = ndt.zero_state(3)
@@ -17,12 +17,13 @@ def test_zero_weights_give_zero_output():
 
 
 def test_feedforward_model_rejects_feedback_input():
-    ndt = NdtModel(hidden=4)
+    ndt = NdtModel(hidden=4, gen=np.random.default_rng(0))
     h, c = ndt.zero_state(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lstm input dim"):
         ndt.step(np.zeros((2, 1)), np.zeros((2, 1)), h, c)
-    fb_ndt = NdtModel(hidden=4, feedback=True)
-    with pytest.raises(ValueError):
+    fb_ndt = NdtModel(hidden=4, feedback=True,
+                      gen=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lstm input dim"):
         fb_ndt.step(np.zeros((2, 1)), None, *fb_ndt.zero_state(2))
 
 
@@ -64,7 +65,7 @@ def test_causality_with_feedback():
         m = ndt.power
         xs = []
         for i in range(8):
-            raw, h, c, _ = ndt.step(n[:, i], fb, h, c, need_cache=False)
+            raw, h, c, _ = ndt.step(n[:, i], fb, h, c)
             m = float(np.mean(raw * raw))
             x = raw * np.sqrt(ndt.power / m)
             fb = x + zmat[:, i]
@@ -132,7 +133,7 @@ def _raw_mean_square(ndt, rng, batch, steps):
     fb = np.zeros((batch, 1)) if ndt.feedback else None
     total = 0.0
     for i in range(steps):
-        raw, h, c, _ = ndt.step(n[:, i], fb, h, c, need_cache=False)
+        raw, h, c, _ = ndt.step(n[:, i], fb, h, c)
         ms = float(np.mean(raw * raw))
         if ndt.feedback:
             fb = raw * np.sqrt(ndt.power / ms) + z[:, i]

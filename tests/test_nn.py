@@ -17,7 +17,7 @@ def test_rng_streams_are_independent_and_reproducible():
 
 
 def test_dense_identity():
-    layer = Dense(2, 2, "linear")
+    layer = Dense(2, 2, "linear", np.random.default_rng(0))
     layer.W.value[:] = np.eye(2)
     layer.b.value[:] = 0.0
     x = np.array([[1.5], [-2.0]])
@@ -26,7 +26,7 @@ def test_dense_identity():
 
 
 def test_dense_constant_bias():
-    layer = Dense(3, 2, "linear")
+    layer = Dense(3, 2, "linear", np.random.default_rng(0))
     layer.W.value[:] = 0.0
     layer.b.value[:] = [4.0, -1.0]
     out, _ = layer.forward(np.random.default_rng(0).standard_normal((3, 6)))
@@ -34,7 +34,7 @@ def test_dense_constant_bias():
 
 
 def test_dense_shape_mismatch():
-    layer = Dense(3, 2)
+    layer = Dense(3, 2, "tanh", np.random.default_rng(0))
     with pytest.raises(ValueError):
         layer.forward(np.zeros((4, 5)))
 
@@ -56,7 +56,7 @@ def test_dense_gradient_matches_finite_differences():
 
 
 def test_lstm_zero_fixed_point():
-    cell = LstmCell(2, 3)
+    cell = LstmCell(2, 3, np.random.default_rng(0))
     for p in cell.params():
         p.value[:] = 0.0
     h, c = cell.zero_state(4)
@@ -198,7 +198,7 @@ def test_lstm_two_branches_match_two_single_steps():
 
 
 def test_lstm_step_rejects_rows_that_are_not_branches():
-    cell = LstmCell(2, 3)
+    cell = LstmCell(2, 3, np.random.default_rng(0))
     h, c = cell.zero_state(4)
     with pytest.raises(ValueError):
         cell.step(np.zeros((6, 2)), h, c)
