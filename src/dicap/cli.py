@@ -195,11 +195,9 @@ def cmd_capacity(family, alpha, power, feedback, config_path, out_dir, **kw):
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True)
-@click.option("--random-starts/--disjoint-blocks", default=False,
-              show_default=True, help="How training windows are drawn.")
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
-                    random_starts, out_dir):
+                    out_dir):
     """Estimate the DI rate of a trajectory file; writes curve and summary."""
     # click.FloatRange lets nan and inf through
     if not (math.isfinite(lr) and lr > 0):
@@ -209,16 +207,13 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
     except TrajectoryFormatError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
-    rng = Rng(seed)
     try:
-        source = window_batches(
-            x, y, batch_size, seq_len,
-            gen=rng.stream("window-starts") if random_starts else None)
+        source = window_batches(x, y, batch_size, seq_len)
         # one set of helper processes serves the training and the evaluation
         with helpers():
             model, curve = dine_train(
-                source, x.shape[1], y.shape[1], hidden=hidden,
-                head_hidden=hidden, lr=lr, iters=iters, rng=rng)
+                source, x.shape[1], y.shape[1], hidden=hidden, lr=lr,
+                iters=iters, rng=Rng(seed))
             # evaluate on the whole file, cut into the fewest equal sequences
             # of at most 2048 steps; fewer than n_seq rows are left over
             n_seq = -(-x.shape[0] // 2048)
@@ -252,8 +247,6 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
 @train_options
 def cmd_sweep(family, alpha, powers, feedback, config_path, out_dir, **kw):
     """Run one capacity estimate per power; writes a combined CSV."""
-    if not powers:
-        raise click.UsageError("at least one --power is required")
     # a --config file may set feedback; the file tag follows the built config
     feedback = _build_config(
         config_path, dict(kw, power=powers[0], feedback=feedback)).feedback

@@ -66,14 +66,18 @@ def read_trajectory_csv(path):
     if not values:
         raise TrajectoryFormatError(f"{path}: no data rows")
     table = np.frombuffer(values, dtype=np.float64).reshape(-1, dx + dy)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise TrajectoryFormatError(
+            f"{path}: row {int(np.argmin(finite)) + 2}: non-finite value")
     return table[:, :dx].copy(), table[:, dx:].copy()
 
 
-def window_batches(x, y, batch, steps, gen=None):
+def window_batches(x, y, batch, steps):
     """Build a callable producing (B, T, d) batches of contiguous windows.
 
-    With ``gen`` set, each call draws random window starts; otherwise the
-    trajectory is cut into disjoint contiguous blocks, cycling by iteration.
+    The trajectory is cut into n // steps disjoint blocks of ``steps`` rows;
+    iteration i takes blocks (i·B + j) mod (n // steps) for j < B.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -82,16 +86,12 @@ def window_batches(x, y, batch, steps, gen=None):
         raise ValueError(
             f"need at least {batch * steps} rows, file has {n}")
     n_blocks = n // steps
+    bx = x[:n_blocks * steps].reshape(n_blocks, steps, *x.shape[1:])
+    by = y[:n_blocks * steps].reshape(n_blocks, steps, *y.shape[1:])
 
     def source(iteration):
-        if gen is not None:
-            starts = gen.integers(0, n - steps + 1, size=batch)
-        else:
-            first = (iteration * batch) % n_blocks
-            starts = [((first + j) % n_blocks) * steps for j in range(batch)]
-        bx = np.stack([x[s:s + steps] for s in starts])
-        by = np.stack([y[s:s + steps] for s in starts])
-        return bx, by
+        blocks = (iteration * batch + np.arange(batch)) % n_blocks
+        return bx[blocks], by[blocks]
 
     return source
 

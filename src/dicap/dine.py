@@ -215,7 +215,6 @@ class DineModel:
     Adam optimizers and the reference stream that train them."""
 
     def __init__(self, x_dim, y_dim, hidden, head_hidden, rng, lr=1e-4):
-        self.x_dim = x_dim
         self.y_dim = y_dim
         self.pot_y = DinePotential(
             y_dim, hidden, head_hidden, rng.stream("init-pot-y"), name="pot_y")
@@ -325,28 +324,30 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
     """Monte-Carlo evaluation of the frozen potentials of ``model``.
 
     The ``n_seq`` sequences are cut into chunks of ``_CHUNK_SEQS`` (the last
-    may be shorter), and the chunks into contiguous blocks, one per process
-    of ``helpers``, scored in one pass: the first block here, the others in
-    the helpers at the same time. ``load(*args, k, n, *rows) -> (x, y)`` runs
-    in the process that scores chunk k of n sequences; ``rows`` are the
-    chunk's rows of the arrays in ``data``. As in training, a chunk's
-    reference is uniform on the box fitted to its own outputs, here drawn
-    from ``Rng(seed).stream(f"eval/{k}/reference")``.
+    may be shorter), dealt round-robin to the P processes of ``helpers`` and
+    scored in one pass: chunk k in process k mod P, where this process is
+    process 0 and the helpers run at the same time. ``load(*args, k, n,
+    *rows) -> (x, y)`` runs in the process that scores chunk k of n
+    sequences; ``rows`` are the chunk's rows of the arrays in ``data``. As in
+    training, a chunk's reference is uniform on the box fitted to its own
+    outputs, here drawn from ``Rng(seed).stream(f"eval/{k}/reference")``.
     The DV terms are combined in chunk order, so the result does not depend
     on the worker count. Returns (estimate, d_y, d_yx, sum of x²).
     """
     with helpers() as pool:
-        blocks = [[(k, rows.stop - rows.start, *(a[rows] for a in data))
-                   for k, rows in block]
-                  for block in _cut(n_seq, len(pool) + 1)]
-        for helper, block in zip(pool, blocks[1:]):
-            helper.send(_score_chunks, model, seed, load, args, block)
-        # an error here (the earliest block's, as in a serial run) leaves
-        # replies unread: it must end the outermost helpers block, which
-        # kills the helpers
-        scored = _score_chunks({}, model, seed, load, args, blocks[0])
-        for helper in pool:
-            scored += helper.receive()
+        P = len(pool) + 1
+        items = [(k, min(_CHUNK_SEQS, n_seq - s),
+                  *(a[s:s + _CHUNK_SEQS] for a in data))
+                 for k, s in enumerate(range(0, n_seq, _CHUNK_SEQS))]
+        for j, helper in enumerate(pool, start=1):
+            helper.send(_score_chunks, model, seed, load, args, items[j::P])
+        # an error here leaves replies unread: it must end the outermost
+        # helpers block, which kills the helpers. Every chunk failure is
+        # dv_terms' GradientError with a fixed text, so the report does not
+        # depend on which failing chunk raises first
+        dealt = [_score_chunks({}, model, seed, load, args, items[::P])]
+        dealt += [helper.receive() for helper in pool]
+    scored = [dealt[k % P][k // P] for k in range(len(items))]
     vy = dv_combine([ty for ty, _, _ in scored])
     vyx = dv_combine([tyx for _, tyx, _ in scored])
     sumsq = 0.0
@@ -355,22 +356,8 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
     return vyx - vy, vy, vyx, sumsq
 
 
-def _cut(n_seq, n_blocks):
-    """Cut ``n_seq`` sequences into chunks of ``_CHUNK_SEQS`` and the chunks
-    into ``n_blocks`` contiguous blocks of about equal sequence counts.
-    Returns per block a list of (k, the rows of chunk k)."""
-    bounds = list(range(0, n_seq, _CHUNK_SEQS)) + [n_seq]
-    chunks = list(enumerate(map(slice, bounds, bounds[1:])))
-    # block j ends at the chunk boundary nearest to j / n_blocks of the rows,
-    # the later one on a tie
-    cuts = [min(range(len(bounds)),
-                key=lambda b: (abs(bounds[b] * n_blocks - n_seq * j), -b))
-            for j in range(n_blocks + 1)]
-    return [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def _score_chunks(state, model, seed, load, args, items):
-    """``_score_chunk`` on each chunk of a block, loaded in its turn."""
+    """``_score_chunk`` on each of a process's chunks, loaded in its turn."""
     return [_score_chunk(model, seed, item[0], *load(*args, *item))
             for item in items]
 
@@ -525,15 +512,15 @@ def _step_potential(state, true_in, ref_in, train):
     return potential_step(pot, adam if train else None, true_in, ref_in)
 
 
-def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, head_hidden=64,
-               lr=1e-4, iters=5000, rng):
+def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, lr=1e-4,
+               iters=5000, rng):
     """Train a DineModel on batches from ``data_source(iteration) -> (x, y)``.
 
     Runs a fixed iteration budget; returns (model, curve) where curve rows are
     (iteration, d_y, d_yx, difference). Raises TrainingDiverged if an
     objective or gradient goes non-finite.
     """
-    model = DineModel(x_dim, y_dim, hidden, head_hidden, rng=rng, lr=lr)
+    model = DineModel(x_dim, y_dim, hidden, hidden, rng=rng, lr=lr)
     curve = []
     with model.training():
         for it in range(iters):

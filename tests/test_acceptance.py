@@ -116,8 +116,8 @@ def test_criterion_3_dine_vs_gaussian_oracle():
         x = xgen.standard_normal((B, T, 1))
         return x, x + draw_noise(spec, B, T, cgen)
 
-    model, _ = dine_train(source, 1, 1, hidden=32, head_hidden=32, lr=1e-3,
-                          iters=1000, rng=rng)
+    model, _ = dine_train(source, 1, 1, hidden=32, lr=1e-3, iters=1000,
+                          rng=rng)
     egen = rng.stream("accept3-eval")
     ex = egen.standard_normal((50, 2000, 1))
     ey = ex + draw_noise(spec, 50, 2000, egen)
@@ -135,8 +135,8 @@ def test_criterion_4_independence_null():
         return (gen.standard_normal((64, 20, 1)),
                 gen.standard_normal((64, 20, 1)))
 
-    model, _ = dine_train(source, 1, 1, hidden=32, head_hidden=32, lr=1e-3,
-                          iters=1000, rng=rng)
+    model, _ = dine_train(source, 1, 1, hidden=32, lr=1e-3, iters=1000,
+                          rng=rng)
     egen = rng.stream("accept4-eval")
     ex = egen.standard_normal((50, 2000, 1))
     ey = egen.standard_normal((50, 2000, 1))
@@ -276,8 +276,8 @@ def test_criterion_10_di_under_feedback(beta):
     def source(it):
         return _closed_loop(beta, gen, B, T)
 
-    model, _ = dine_train(source, 1, 1, hidden=32, head_hidden=32, lr=1e-3,
-                          iters=1000, rng=rng)
+    model, _ = dine_train(source, 1, 1, hidden=32, lr=1e-3, iters=1000,
+                          rng=rng)
     ex, ey = _closed_loop(beta, rng.stream(f"accept10-{beta}-eval"), 50, 2000)
     est = dine_estimate(model, ex, ey, seed=1)["estimate_nats"]
     rel = abs(est - target) / target

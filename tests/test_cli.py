@@ -249,6 +249,20 @@ def test_di_estimate_evaluates_the_whole_file(runner, tmp_path):
     assert summary["samples"] == 3000
 
 
+def test_di_estimate_non_finite_value_is_an_error(runner, tmp_path,
+                                                  started_helpers):
+    # an inf in y: before the file was checked, it reached the evaluation
+    # and failed there without naming the row
+    path = _tiny_trajectory(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[1000] = lines[1000].split(",")[0] + ",inf"
+    path.write_text("\n".join(lines) + "\n")
+    res = _tiny_di_estimate(runner, path, tmp_path)
+    assert res.exit_code == 1
+    assert "row 1001: non-finite value" in res.output
+    assert started_helpers == []
+
+
 def test_di_estimate_one_helper_for_training_and_evaluation(
         runner, tmp_path, monkeypatch, started_helpers):
     path = _tiny_trajectory(tmp_path)

@@ -65,24 +65,42 @@ def test_non_numeric_cell_reports_row_number(tmp_path):
         read_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_non_finite_value_reports_row_number(tmp_path, bad, column):
+    rows = [["1.0", "2.0"] for _ in range(5)]
+    rows[3][column] = bad
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,y0\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    with pytest.raises(TrajectoryFormatError,
+                       match="row 5: non-finite value"):
+        read_trajectory_csv(path)
+
+
 def test_window_batches_disjoint_blocks():
     x = np.arange(24, dtype=float).reshape(24, 1)
     y = -x
     source = window_batches(x, y, batch=2, steps=4)
-    bx, _ = source(0)
+    bx, by = source(0)
     assert np.array_equal(bx[:, :, 0], [[0, 1, 2, 3], [4, 5, 6, 7]])
+    assert np.array_equal(by, -bx)
     bx, _ = source(1)
     assert np.array_equal(bx[:, :, 0], [[8, 9, 10, 11], [12, 13, 14, 15]])
-
-
-def test_window_batches_random_starts_contiguous():
-    gen = np.random.default_rng(2)
-    x = np.arange(100, dtype=float).reshape(100, 1)
-    source = window_batches(x, x.copy(), batch=3, steps=5, gen=gen)
-    bx, by = source(0)
-    assert bx.shape == (3, 5, 1)
-    for row in bx[:, :, 0]:
-        assert np.allclose(np.diff(row), 1.0)
+    # six blocks: iteration 2 takes the last two, iteration 3 wraps to the
+    # first two
+    bx, _ = source(2)
+    assert np.array_equal(bx[:, :, 0], [[16, 17, 18, 19], [20, 21, 22, 23]])
+    bx, _ = source(3)
+    assert np.array_equal(bx[:, :, 0], [[0, 1, 2, 3], [4, 5, 6, 7]])
+    # 22 rows are five blocks of 4 and 2 rows that no batch uses; iteration
+    # 2 takes the last block and wraps to the first inside the batch
+    x = np.arange(44, dtype=float).reshape(22, 2)
+    source = window_batches(x, x[:, :1].copy(), batch=2, steps=4)
+    for it, blocks in ((0, [0, 1]), (2, [4, 0]), (3, [1, 2]), (5, [0, 1])):
+        bx, by = source(it)
+        assert bx.shape == (2, 4, 2) and by.shape == (2, 4, 1)
+        assert np.array_equal(bx, [x[4 * b:4 * b + 4] for b in blocks])
+        assert np.array_equal(by[:, :, 0], bx[:, :, 0])
 
 
 def test_window_batches_too_few_rows():

@@ -251,8 +251,8 @@ def trained_on_additive_gaussian():
         x = gen.standard_normal((B, T, 1))
         return x, x + gen.standard_normal((B, T, 1))
 
-    model, _ = dine_train(source, 1, 1, hidden=16, head_hidden=16, lr=1e-3,
-                          iters=400, rng=rng)
+    model, _ = dine_train(source, 1, 1, hidden=16, lr=1e-3, iters=400,
+                          rng=rng)
     egen = rng.stream("eval")
     ex = egen.standard_normal((50, 2000, 1))
     ey = ex + egen.standard_normal((50, 2000, 1))
@@ -335,6 +335,29 @@ def test_dine_estimate_matches_reference(monkeypatch, reference_estimate):
         assert model.evaluate(x, y, seed=19) == want
 
 
+def test_evaluation_deals_chunks_round_robin(monkeypatch, reference_estimate):
+    # 150 sequences in chunks of 32 are five chunks; on three processes
+    # chunk k is scored in process k mod 3, so this process scores 0 and 3
+    monkeypatch.setattr(dine, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(dine, "_CHUNK_SEQS", 32)
+    scored_here = []
+    score = dine._score_chunk
+
+    def recording(model, seed, k, x, y):
+        scored_here.append(k)
+        return score(model, seed, k, x, y)
+
+    monkeypatch.setattr(dine, "_score_chunk", recording)
+    model = DineModel(1, 1, hidden=5, head_hidden=4, rng=Rng(17))
+    gen = np.random.default_rng(18)
+    x = gen.standard_normal((150, 30, 1))
+    y = x + gen.standard_normal((150, 30, 1))
+    chunks = [(x[s:s + 32], y[s:s + 32]) for s in range(0, 150, 32)]
+    assert model.evaluate(x, y, seed=19) == reference_estimate(model, chunks,
+                                                               seed=19)
+    assert scored_here == [0, 3]
+
+
 def test_evaluation_imports_no_process_pool():
     # the evaluation runs on the helper processes that training uses
     code = (
@@ -364,8 +387,8 @@ def test_dine_train_curve_and_determinism():
             x = gen.standard_normal((4, 8, 1))
             return x, x + gen.standard_normal((4, 8, 1))
 
-        return dine_train(source, 1, 1, hidden=6, head_hidden=4, lr=1e-3,
-                          iters=10, rng=rng)
+        return dine_train(source, 1, 1, hidden=6, lr=1e-3, iters=10,
+                          rng=rng)
 
     _, c1 = make()
     _, c2 = make()
@@ -391,7 +414,7 @@ def test_dine_train_same_for_one_and_two_cpus(monkeypatch, started_helpers):
     for cpus in (1, 2):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         runs.append(dine_train(_additive_source(20), 1, 1, hidden=6,
-                               head_hidden=4, lr=1e-3, iters=12, rng=Rng(21)))
+                               lr=1e-3, iters=12, rng=Rng(21)))
         assert len(started_helpers) == cpus - 1
     (m1, c1), (m2, c2) = runs
     assert c1 == c2
@@ -414,8 +437,8 @@ def test_dine_train_failure_same_for_one_and_two_cpus(monkeypatch,
     for cpus in (1, 2):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         with pytest.raises(dine.TrainingDiverged) as err:
-            dine_train(_additive_source(22), 1, 1, hidden=6, head_hidden=4,
-                       iters=5, rng=Rng(23))
+            dine_train(_additive_source(22), 1, 1, hidden=6, iters=5,
+                       rng=Rng(23))
         errors.append((err.value.iteration, err.value.curve,
                        str(err.value.__cause__)))
     assert errors[0] == errors[1]
@@ -426,7 +449,7 @@ def test_helper_stopped_when_training_raises(monkeypatch, started_helpers):
     monkeypatch.setattr(dine, "usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="data source failed"):
         dine_train(_additive_source(24, fail_at=3), 1, 1, hidden=6,
-                   head_hidden=4, iters=5, rng=Rng(25))
+                   iters=5, rng=Rng(25))
     assert len(started_helpers) == 1
     assert started_helpers[0].poll() is not None
 
