@@ -147,21 +147,20 @@ def estimate_capacity(spec, config):
     try:
         # one set of helper processes serves the training and the evaluation
         with helpers():
-            with dine.training():
-                for _ in range(config.warmup):
+            for _ in range(config.warmup):
+                ro = fresh(False)
+                dine.train_step(ro.x, ro.y)
+            for it in range(config.budget):
+                for _ in range(config.dine_steps_per_ndt):
                     ro = fresh(False)
-                    dine.train_step(ro.x, ro.y)
-                for it in range(config.budget):
-                    for _ in range(config.dine_steps_per_ndt):
-                        ro = fresh(False)
-                        vy, vyx = dine.train_step(ro.x, ro.y)
-                    ro = fresh(True)
-                    obj, dx, dy = dine.input_gradients(ro.x, ro.y,
-                                                       dine.reference(ro.y))
-                    adam_ndt.zero_grads()
-                    ro.backward(dx, dy)
-                    adam_ndt.step()
-                    curve.append((it, vy, vyx, obj, ro.realized_power))
+                    vy, vyx = dine.train_step(ro.x, ro.y)
+                ro = fresh(True)
+                obj, dx, dy = dine.input_gradients(ro.x, ro.y,
+                                                   dine.reference(ro.y))
+                adam_ndt.zero_grads()
+                ro.backward(dx, dy)
+                adam_ndt.step()
+                curve.append((it, vy, vyx, obj, ro.realized_power))
             est, vy, vyx, realized, count = monte_carlo_eval(
                 dine, ndt, spec, config.eval_samples, config.seed + 1,
                 config.eval_seq_len)

@@ -25,17 +25,20 @@ from .nn import Rng
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
-def _load_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    return raw
-
-
 def _build_config(config_path, overrides):
-    base = _load_config(config_path) if config_path else {}
+    base = {}
+    if config_path:
+        try:
+            with open(config_path) as fh:
+                base = json.load(fh)
+        except ValueError as err:   # bad JSON, or bytes that are not UTF-8
+            raise click.UsageError(f"config file {config_path}: {err}")
+        if not isinstance(base, dict):
+            raise click.UsageError(
+                f"config file {config_path}: not a JSON object")
+        unknown = set(base) - _CONFIG_KEYS
+        if unknown:
+            raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
     base.update({k: v for k, v in overrides.items() if v is not None})
     cfg = TrainConfig(**base)
     try:
@@ -43,6 +46,13 @@ def _build_config(config_path, overrides):
     except ValueError as err:
         raise click.UsageError(str(err))
     return cfg
+
+
+def _channel_spec(family, alpha, sigma2=1.0):
+    try:
+        return ChannelSpec(family, sigma2=sigma2, alpha=alpha)
+    except ValueError as err:
+        raise click.UsageError(str(err))
 
 
 def _out_dir(out_dir):
@@ -65,10 +75,7 @@ def cmd_baseline(family, alpha, power, sigma2):
     """Print the analytic capacity baselines for a channel as JSON."""
     if not all(map(math.isfinite, (alpha, power, sigma2))):
         raise click.UsageError("--alpha, --power and --sigma2 must be finite")
-    try:
-        ChannelSpec(family, sigma2=sigma2, alpha=alpha)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    _channel_spec(family, alpha, sigma2)
     out = {"family": family, "params": {"alpha": alpha, "power": power,
                                         "sigma2": sigma2}}
     try:
@@ -97,10 +104,14 @@ def cmd_baseline(family, alpha, power, sigma2):
 
 @main.command("grad-check")
 @click.argument("component", type=click.Choice(COMPONENTS))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--tol", type=float, default=1e-4, show_default=True)
 def cmd_grad_check(component, seed, tol):
     """Finite-difference gradient check; exit 0 iff all within tolerance."""
+    # click.FloatRange lets nan and inf through
+    if not (math.isfinite(tol) and tol >= 0):
+        raise click.UsageError("--tol must be finite and nonnegative")
     passed, report = run_suite(component, seed, tol)
     for name, err in sorted(report.items()):
         click.echo(f"{'PASS' if err < tol else 'FAIL'}  {name}: {err:.3e}")
@@ -134,17 +145,9 @@ def train_options(cmd):
     return cmd
 
 
-def _run_capacity(family, alpha, power, feedback, config_path, out_dir, kw):
-    overrides = dict(kw)
-    overrides["power"] = power
-    overrides["feedback"] = feedback
-    cfg = _build_config(config_path, overrides)
-    try:
-        spec = ChannelSpec(family, alpha=alpha)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+def _run_capacity(spec, cfg, out_dir):
     report, _, _ = estimate_capacity(spec, cfg)
-    tag = (f"{family}_a{alpha:g}_P{power:g}_"
+    tag = (f"{spec.family}_a{spec.alpha:g}_P{cfg.power:g}_"
            f"{'fb' if cfg.feedback else 'ff'}_s{cfg.seed}")
     d = _out_dir(out_dir)
     report_path = os.path.join(d, f"capacity_{tag}.json")
@@ -164,9 +167,10 @@ def _run_capacity(family, alpha, power, feedback, config_path, out_dir, kw):
 @train_options
 def cmd_capacity(family, alpha, power, feedback, config_path, out_dir, **kw):
     """Estimate channel capacity; writes a report JSON and curve CSV."""
+    cfg = _build_config(config_path, dict(kw, power=power, feedback=feedback))
+    spec = _channel_spec(family, alpha)
     try:
-        report, report_path, curve_path = _run_capacity(
-            family, alpha, power, feedback, config_path, out_dir, kw)
+        report, report_path, curve_path = _run_capacity(spec, cfg, out_dir)
     except (ValueError, RuntimeError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
@@ -247,15 +251,15 @@ def cmd_di_estimate(csv_path, batch_size, seq_len, iters, lr, hidden, seed,
 @train_options
 def cmd_sweep(family, alpha, powers, feedback, config_path, out_dir, **kw):
     """Run one capacity estimate per power; writes a combined CSV."""
-    # a --config file may set feedback; the file tag follows the built config
-    feedback = _build_config(
-        config_path, dict(kw, power=powers[0], feedback=feedback)).feedback
+    # every power's config is checked before the first run
+    cfgs = [_build_config(config_path, dict(kw, power=p, feedback=feedback))
+            for p in powers]
+    spec = _channel_spec(family, alpha)
     d = _out_dir(out_dir)
     rows = []
-    for p in powers:
+    for p, cfg in zip(powers, cfgs):
         try:
-            report, _, _ = _run_capacity(
-                family, alpha, p, feedback, config_path, out_dir, kw)
+            report, _, _ = _run_capacity(spec, cfg, out_dir)
             if report.failed:
                 rows.append((p, "", report.baseline_nats, "failed: "
                              + report.failure_reason))
@@ -264,7 +268,8 @@ def cmd_sweep(family, alpha, powers, feedback, config_path, out_dir, **kw):
                 click.echo(f"P={p:g}: {report.capacity_nats:.6f} nats")
         except (ValueError, RuntimeError) as err:
             rows.append((p, "", "", f"failed: {err}"))
-    tag = f"{family}_a{alpha:g}_{'fb' if feedback else 'ff'}"
+    # a --config file may set feedback; the file tag follows the built config
+    tag = f"{family}_a{alpha:g}_{'fb' if cfgs[0].feedback else 'ff'}"
     sweep_path = os.path.join(d, f"sweep_{tag}.csv")
     with open(sweep_path, "w") as fh:
         fh.write("power,estimate_nats,baseline_nats,status\n")

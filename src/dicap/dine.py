@@ -224,43 +224,14 @@ class DineModel:
         self.adam_y = Adam(self.pot_y.params(), lr=lr)
         self.adam_yx = Adam(self.pot_yx.params(), lr=lr)
         self.ref_gen = rng.stream("dine-reference")
-        self._helper = None     # set only inside ``training``
 
     def params(self):
         return self.pot_y.params() + self.pot_yx.params()
 
-    def fit_box(self, y):
-        return fit_reference(y)
-
     def reference(self, y):
         """Reference samples shaped like ``y``, uniform on its fitted box."""
         B, T, _ = y.shape
-        return self.fit_box(y).sample(self.ref_gen, B, T)
-
-    @contextlib.contextmanager
-    def training(self):
-        """Step pot_y and its Adam in the first process of ``helpers``
-        inside the block, while pot_yx steps here; with fewer than two
-        usable CPUs both step here.
-
-        On a normal exit the model takes back the helper's pot_y and Adam;
-        on an exception the helpers are killed and pot_y keeps its state
-        from before the block. The potential's arithmetic is the same in
-        either process, so results do not depend on the CPU count.
-        """
-        with helpers() as pool:
-            if not pool:
-                yield
-                return
-            pool[0].send(_swap_potential, (self.pot_y, self.adam_y))
-            pool[0].receive()
-            self._helper = pool[0]
-            try:
-                yield
-                pool[0].send(_swap_potential, None)
-                self.pot_y, self.adam_y = pool[0].receive()
-            finally:
-                self._helper = None
+        return fit_reference(y).sample(self.ref_gen, B, T)
 
     def train_step(self, x, y):
         """One ascent step of both potentials on a fresh batch."""
@@ -282,21 +253,23 @@ class DineModel:
 
     def _step_pair(self, x, y, y_ref, train):
         """``potential_step`` of pot_y and of pot_yx, with their Adam steps
-        if ``train``; inside ``training`` pot_y's runs in the helper at the
-        same time. A GradientError of pot_y is raised in preference to one
-        of pot_yx, as when pot_y runs first here."""
+        if ``train``; inside ``helpers`` pot_y and its Adam go to the first
+        helper with the request, step there while pot_yx steps here and come
+        back with the reply. A GradientError of pot_y is raised in
+        preference to one of pot_yx, as when pot_y runs first here."""
         adam_yx = self.adam_yx if train else None
-        if self._helper is None:
+        pool = _POOL.get()
+        if not pool:
             out_y = potential_step(self.pot_y, self.adam_y if train else None,
                                    y, y_ref)
             return out_y, potential_step(self.pot_yx, adam_yx, y, y_ref, x)
-        self._helper.send(_step_potential, y, y_ref, train)
+        pool[0].send(_step_potential, self.pot_y, self.adam_y, y, y_ref,
+                     train)
         try:
             out_yx = potential_step(self.pot_yx, adam_yx, y, y_ref, x)
-        except GradientError:
-            self._helper.receive()
-            raise
-        return self._helper.receive(), out_yx
+        finally:
+            out_y, self.pot_y, self.adam_y = pool[0].receive()
+        return out_y, out_yx
 
     def evaluate(self, x, y, seed):
         """``evaluate_chunks`` on the sequences of x and y; returns
@@ -345,7 +318,7 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
         # helpers block, which kills the helpers. Every chunk failure is
         # dv_terms' GradientError with a fixed text, so the report does not
         # depend on which failing chunk raises first
-        dealt = [_score_chunks({}, model, seed, load, args, items[::P])]
+        dealt = [_score_chunks(model, seed, load, args, items[::P])]
         dealt += [helper.receive() for helper in pool]
     scored = [dealt[k % P][k // P] for k in range(len(items))]
     vy = dv_combine([ty for ty, _, _ in scored])
@@ -356,7 +329,7 @@ def evaluate_chunks(model, seed, n_seq, load, *args, data=()):
     return vyx - vy, vy, vyx, sumsq
 
 
-def _score_chunks(state, model, seed, load, args, items):
+def _score_chunks(model, seed, load, args, items):
     """``_score_chunk`` on each of a process's chunks, loaded in its turn."""
     return [_score_chunk(model, seed, item[0], *load(*args, *item))
             for item in items]
@@ -365,7 +338,7 @@ def _score_chunks(state, model, seed, load, args, items):
 def _score_chunk(model, seed, k, x, y):
     """DV terms of both potentials and the sum of x² on chunk k."""
     B, T, _ = y.shape
-    y_ref = model.fit_box(y).sample(Rng(seed).stream(f"eval/{k}/reference"),
+    y_ref = fit_reference(y).sample(Rng(seed).stream(f"eval/{k}/reference"),
                                     B, T)
     ty, tr, _ = model.pot_y.forward(y, y_ref, need_cache=False)
     terms_y = dv_terms(ty, tr)
@@ -406,11 +379,10 @@ _MALLOC_MMAP_THRESHOLD = str(32 * 2 ** 20)
 
 class _Helper:
     """A fresh interpreter, started with ``subprocess``, BLAS pinned to one
-    thread and a malloc that keeps freed memory. For each pickle
-    ``(fn, args)`` on its stdin it runs ``fn(state, *args)`` with a
-    ``state`` dict that lives as long as the process, and writes one
-    pickled reply to its stdout. ``fn`` is a module-level function, which
-    pickle sends by name. The helper exits when its stdin closes."""
+    thread and a malloc that keeps freed memory. For each pickle ``(fn, args)``
+    on its stdin it runs ``fn(*args)`` and writes one pickled reply to its
+    stdout. ``fn`` is a module-level function, which pickle sends by name.
+    The helper keeps no state and exits when its stdin closes."""
 
     def __init__(self):
         # imported here: it would add to every ``import dicap``
@@ -458,14 +430,13 @@ def _serve():
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)           # stray output goes to stderr, not into a reply
-    state = {}
     while True:
         try:
             fn, args = pickle.load(requests)
         except EOFError:
             return
         try:
-            reply = (True, fn(state, *args))
+            reply = (True, fn(*args))
         except GradientError as err:
             reply = (False, err)
         pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
@@ -499,17 +470,11 @@ def helpers():
         _POOL.reset(token)
 
 
-def _swap_potential(state, potential):
-    """Keep ``potential``, a (DinePotential, Adam) pair or None, in
-    ``state``; return the one kept before."""
-    old = state.get("potential")
-    state["potential"] = potential
-    return old
-
-
-def _step_potential(state, true_in, ref_in, train):
-    pot, adam = state["potential"]
-    return potential_step(pot, adam if train else None, true_in, ref_in)
+def _step_potential(pot, adam, true_in, ref_in, train):
+    """``potential_step`` in a helper; returns its output with ``pot`` and
+    ``adam``, pickled together so that ``adam`` keeps updating ``pot``."""
+    return (potential_step(pot, adam if train else None, true_in, ref_in),
+            pot, adam)
 
 
 def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, lr=1e-4,
@@ -522,7 +487,7 @@ def dine_train(data_source, x_dim=1, y_dim=1, *, hidden=64, lr=1e-4,
     """
     model = DineModel(x_dim, y_dim, hidden, hidden, rng=rng, lr=lr)
     curve = []
-    with model.training():
+    with helpers():
         for it in range(iters):
             x, y = data_source(it)
             try:

@@ -82,6 +82,17 @@ def test_grad_check_impossible_tolerance_fails(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"]])
+def test_grad_check_bad_option_is_usage_error(runner, args):
+    # a negative seed ended in numpy's ValueError, a nan tolerance failed
+    # every parameter
+    res = runner.invoke(main, ["grad-check", "nn"] + args)
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output
+    assert "PASS" not in res.output and "FAIL" not in res.output
+
+
 def test_grad_check_unknown_selector(runner):
     res = runner.invoke(main, ["grad-check", "everything"])
     assert res.exit_code == 2
@@ -148,6 +159,20 @@ def test_capacity_bad_config_value_is_usage_error(runner, tmp_path, bad):
                                str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output
+
+
+@pytest.mark.parametrize("command", ["capacity", "sweep"])
+@pytest.mark.parametrize("text", ["5", "null", "[]", "{budget: 1}"])
+def test_config_not_a_json_object_is_usage_error(runner, tmp_path, command,
+                                                 text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--family", "awgn", "--power", "1",
+                               "--config", str(cfg), "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"config file {cfg}:" in res.output
+    assert not out.exists()
 
 
 def test_capacity_flag_overrides_config_file(runner, tmp_path):
@@ -310,6 +335,19 @@ def test_sweep_single_power_matches_capacity(runner, tmp_path):
     est = float(sweep[1].split(",")[1])
     rep = json.loads((tmp_path / "capacity_awgn_a0_P1_ff_s4.json").read_text())
     assert est == rep["capacity_nats"]
+
+
+def test_sweep_checks_every_power_before_the_first_run(runner, tmp_path,
+                                                      monkeypatch):
+    def estimate_capacity(spec, cfg):
+        raise AssertionError("a power ran before all were checked")
+
+    monkeypatch.setattr(cli, "estimate_capacity", estimate_capacity)
+    res = runner.invoke(main, ["sweep", "--family", "awgn", "--power", "1",
+                               "--power", "-1", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "power must be positive" in res.output
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_requires_power(runner):

@@ -264,12 +264,12 @@ def test_reference_volume_shift_cancels_in_difference(
     # widening the reference box rescales both objectives identically in
     # expectation; the difference moves very little
     model, ex, ey = trained_on_additive_gaussian
-    # a patched class does not reach a helper process: score here
+    # a patch does not reach a helper process: score here
     monkeypatch.setattr(dine, "usable_cpus", lambda: 1)
     est1, vy1, _ = model.evaluate(ex, ey, 21)
     # a margin of 0.6 on each side gives 2.2 ranges, twice the default 1.1
-    monkeypatch.setattr(DineModel, "fit_box",
-                        lambda self, y: fit_reference(y, margin=0.6))
+    monkeypatch.setattr(dine, "fit_reference",
+                        lambda y: fit_reference(y, margin=0.6))
     est2, vy2, _ = model.evaluate(ex, ey, 22)
     assert abs(est1 - est2) < 0.02
     # each objective individually drops by roughly log 2 per dimension
@@ -464,7 +464,7 @@ def test_training_continues_after_helper_exits(monkeypatch, started_helpers):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(27), lr=1e-3)
         values = []
-        with model.training():
+        with dine.helpers():
             for x, y in batches[:5]:
                 values.append(model.train_step(x, y))
         for x, y in batches[5:]:
@@ -478,16 +478,39 @@ def test_training_continues_after_helper_exits(monkeypatch, started_helpers):
     assert started_helpers[0].poll() is not None
 
 
+def test_interrupted_training_same_for_one_and_two_cpus(monkeypatch,
+                                                        started_helpers):
+    # pot_y and its Adam come back with every reply: the steps taken before
+    # an error in the block are kept, as in a 1-CPU run
+    source = _additive_source(33)
+    batches = [source(it) for it in range(3)]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
+        model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(34), lr=1e-3)
+        with pytest.raises(RuntimeError, match="stop"):
+            with dine.helpers():
+                for x, y in batches:
+                    model.train_step(x, y)
+                raise RuntimeError("stop")
+        runs.append(([p.value for p in model.params()],
+                     model.adam_y.t, model.adam_yx.t))
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0][0], runs[1][0]))
+    assert runs[0][1:] == runs[1][1:] == (3, 3)
+    assert len(started_helpers) == 1
+    assert started_helpers[0].poll() is not None
+
+
 def test_model_usable_after_training_raises(monkeypatch, started_helpers):
-    # an error inside the block leaves no helper handle on the model: it
-    # pickles, and it steps on in this process as a 1-CPU run does
+    # an error inside a helpers block leaves the model whole: it pickles,
+    # and it steps on in this process as a 1-CPU run does
     x, y = _additive_source(28)(0)
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(dine, "usable_cpus", lambda: cpus)
         model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(29), lr=1e-3)
         with pytest.raises(RuntimeError, match="stop"):
-            with model.training():
+            with dine.helpers():
                 raise RuntimeError("stop")
         model = pickle.loads(pickle.dumps(model))
         runs.append((model.train_step(x, y),
@@ -515,7 +538,7 @@ def test_helper_keeps_its_heap(monkeypatch):
         model = DineModel(1, 1, hidden=32, head_hidden=32, rng=Rng(31),
                           lr=1e-3)
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        with model.training():
+        with dine.helpers():
             for _ in range(steps):
                 model.train_step(x, y)
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
@@ -534,8 +557,7 @@ def test_helper_environment(monkeypatch, started_helpers):
     monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "0")
     monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "0")
     monkeypatch.setattr(dine, "usable_cpus", lambda: 2)
-    model = DineModel(1, 1, hidden=6, head_hidden=4, rng=Rng(32))
-    with model.training():
+    with dine.helpers():
         with open(f"/proc/{started_helpers[0].pid}/environ", "rb") as f:
             env = dict(item.decode().split("=", 1)
                        for item in f.read().split(b"\0") if item)
