@@ -255,8 +255,9 @@ class DineModel:
         """``potential_step`` of pot_y and of pot_yx, with their Adam steps
         if ``train``; inside ``helpers`` pot_y and its Adam go to the first
         helper with the request, step there while pot_yx steps here and come
-        back with the reply. A GradientError of pot_y is raised in
-        preference to one of pot_yx, as when pot_y runs first here."""
+        back with the reply. The arithmetic is the same in either process. A
+        GradientError of pot_y is raised in preference to one of pot_yx, as
+        when pot_y runs first here."""
         adam_yx = self.adam_yx if train else None
         pool = _POOL.get()
         if not pool:
